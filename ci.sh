@@ -10,10 +10,16 @@ echo "== tier-1: build =="
 cargo build --release
 
 echo "== tier-1: tests =="
-cargo test -q
+cargo test -q --workspace
 
 echo "== lint: clippy (warnings are errors) =="
-cargo clippy -q --all-targets -- -D warnings
+cargo clippy -q --workspace --all-targets -- -D warnings
+
+echo "== frozen benchmark builds against the current crates =="
+# perfbench/ is a separate workspace with its own lock file. It fails to
+# build when a public API it imports changes, and --locked fails when a
+# changed dependency edge would rewrite perfbench/Cargo.lock.
+cargo build -q --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "== static analysis: rvlint over every kernel guest =="
 # Lints every co-design kernel guest (CFG/dataflow + RoCC-protocol

@@ -155,24 +155,25 @@ mod tests {
 
     #[test]
     fn small_digits_pass_through() {
-        // All digits <= 7: declet is just the three 3-bit values.
-        assert_eq!(encode_declet(1, 2, 3), 0b001_010_0_011);
-        assert_eq!(decode_declet(0b001_010_0_011), (1, 2, 3));
+        // All digits <= 7: declet is just the three 3-bit values, laid
+        // out as `pqr stu 0 wxy` (1, 2, 3 -> 001 010 0 011).
+        assert_eq!(encode_declet(1, 2, 3), 0b00_1010_0011);
+        assert_eq!(decode_declet(0b00_1010_0011), (1, 2, 3));
         assert_eq!(encode_declet(0, 0, 0), 0);
         assert_eq!(decode_declet(0), (0, 0, 0));
-        assert_eq!(encode_declet(7, 7, 7), 0b111_111_0_111);
+        assert_eq!(encode_declet(7, 7, 7), 0b11_1111_0111);
     }
 
     #[test]
     fn known_vectors() {
         // Vectors from Cowlishaw's DPD summary.
-        assert_eq!(encode_declet(0, 0, 9), 0b000_000_1001);
-        assert_eq!(encode_declet(0, 5, 5), 0b000_101_0101);
-        assert_eq!(encode_declet(0, 7, 9), 0b000_111_1001);
-        assert_eq!(encode_declet(0, 8, 0), 0b000_000_1010);
-        assert_eq!(encode_declet(0, 9, 9), 0b000_101_1111);
-        assert_eq!(encode_declet(5, 5, 5), 0b101_101_0101);
-        assert_eq!(encode_declet(9, 9, 9), 0b001_111_1111);
+        assert_eq!(encode_declet(0, 0, 9), 0b00_0000_1001);
+        assert_eq!(encode_declet(0, 5, 5), 0b00_0101_0101);
+        assert_eq!(encode_declet(0, 7, 9), 0b00_0111_1001);
+        assert_eq!(encode_declet(0, 8, 0), 0b00_0000_1010);
+        assert_eq!(encode_declet(0, 9, 9), 0b00_0101_1111);
+        assert_eq!(encode_declet(5, 5, 5), 0b10_1101_0101);
+        assert_eq!(encode_declet(9, 9, 9), 0b00_1111_1111);
     }
 
     #[test]
