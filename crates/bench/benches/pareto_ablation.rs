@@ -6,7 +6,7 @@
 use codesign::kernels::KernelKind;
 use codesign::report;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use decimal_bench::{evaluate_cycles, rocket_timing, workload};
+use decimal_bench::{rocket_timing, try_evaluate_cycles, workload};
 use rocket_sim::TimingConfig;
 
 fn print_pareto_once() {
@@ -23,7 +23,7 @@ fn print_pareto_once() {
     .into_iter()
     .zip(costs)
     {
-        let eval = evaluate_cycles(kind, &vectors, timing);
+        let eval = try_evaluate_cycles(kind, &vectors, timing).expect("cycle evaluation");
         entries.push((name, gates, eval.avg_total_cycles));
     }
     println!("\n{}", report::pareto_table(&entries));
@@ -36,8 +36,12 @@ fn print_pareto_once() {
             rocc_resp_latency: resp,
             ..rocket_timing(2019)
         };
-        let eval = evaluate_cycles(KernelKind::Method1, &vectors, timing);
-        println!("  resp latency {resp:>2} cycles -> avg total {:>6.0}", eval.avg_total_cycles);
+        let eval =
+            try_evaluate_cycles(KernelKind::Method1, &vectors, timing).expect("cycle evaluation");
+        println!(
+            "  resp latency {resp:>2} cycles -> avg total {:>6.0}",
+            eval.avg_total_cycles
+        );
     }
 
     // Ablation: cache miss penalty (affects both configurations).
@@ -47,8 +51,10 @@ fn print_pareto_once() {
             miss_penalty: miss,
             ..rocket_timing(2019)
         };
-        let sw = evaluate_cycles(KernelKind::Software, &vectors, timing);
-        let m1 = evaluate_cycles(KernelKind::Method1, &vectors, timing);
+        let sw =
+            try_evaluate_cycles(KernelKind::Software, &vectors, timing).expect("cycle evaluation");
+        let m1 =
+            try_evaluate_cycles(KernelKind::Method1, &vectors, timing).expect("cycle evaluation");
         println!(
             "  miss {miss:>2} -> software {:>6.0}, method-1 {:>6.0}, speedup {:.2}x",
             sw.avg_total_cycles,
@@ -72,7 +78,9 @@ fn bench(c: &mut Criterion) {
         KernelKind::Method4,
     ] {
         group.bench_function(kind.name(), |b| {
-            b.iter(|| black_box(evaluate_cycles(kind, &vectors, timing)))
+            b.iter(|| {
+                black_box(try_evaluate_cycles(kind, &vectors, timing).expect("cycle evaluation"))
+            })
         });
     }
     group.finish();

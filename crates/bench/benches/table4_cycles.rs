@@ -9,7 +9,7 @@
 use codesign::kernels::KernelKind;
 use codesign::report;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use decimal_bench::{evaluate_cycles, rocket_timing, workload};
+use decimal_bench::{rocket_timing, try_evaluate_cycles, workload};
 
 const BENCH_SAMPLES: usize = 400;
 
@@ -27,7 +27,7 @@ fn print_table4_once() {
         KernelKind::Method3,
         KernelKind::Method4,
     ] {
-        let eval = evaluate_cycles(kind, &vectors, timing);
+        let eval = try_evaluate_cycles(kind, &vectors, timing).expect("cycle evaluation");
         let row = report::Table4Row::from_eval(kind, &eval);
         if kind == KernelKind::Software {
             baseline = Some(row.clone());
@@ -48,7 +48,9 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     for kind in [KernelKind::Software, KernelKind::Method1] {
         group.bench_function(kind.name(), |b| {
-            b.iter(|| black_box(evaluate_cycles(kind, &vectors, timing)))
+            b.iter(|| {
+                black_box(try_evaluate_cycles(kind, &vectors, timing).expect("cycle evaluation"))
+            })
         });
     }
     group.finish();

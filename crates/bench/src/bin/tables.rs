@@ -9,7 +9,9 @@
 use codesign::framework::{time_native, NativeMethod};
 use codesign::kernels::KernelKind;
 use codesign::report;
-use decimal_bench::{atomic_config, rocket_timing, try_evaluate_cycles, try_guest_for, workload};
+use decimal_bench::{
+    atomic_config, rocket_timing, try_evaluate_cycles, try_guest_for, workload, BenchError,
+};
 
 struct Options {
     what: String,
@@ -159,7 +161,8 @@ fn classes(options: &Options) {
             },
         )
         .unwrap_or_else(|e| die(&format!("{kind}: failed to build guest: {e}")));
-        let breakdown = run_rocket_per_class(&guest, &vectors, timing);
+        let breakdown = run_rocket_per_class(&guest, &vectors, timing)
+            .unwrap_or_else(|error| die(&BenchError::Run { kind, error }));
         configs.push((kind.name().to_string(), breakdown));
     }
     println!("{}", codesign::report::class_table(&configs));
@@ -234,7 +237,8 @@ fn table6(options: &Options) {
         ("Software (decNumber-style)", KernelKind::Software),
     ] {
         let guest = try_guest_for(kind, &vectors).unwrap_or_else(|e| die(&e));
-        let eval = codesign::framework::run_atomic(&guest, config);
+        let eval = codesign::framework::try_run_atomic(&guest, config)
+            .unwrap_or_else(|error| die(&BenchError::Run { kind, error }));
         rows.push((label.to_string(), eval.simulated_seconds));
     }
     println!(

@@ -6,7 +6,9 @@
 #![warn(missing_docs)]
 
 use atomic_sim::AtomicConfig;
-use codesign::framework::{build_guest, run_rocket, verify_results, CycleEvaluation, GuestProgram};
+use codesign::framework::{
+    build_guest, try_run_rocket, verify_results, CycleEvaluation, GuestProgram, RunError,
+};
 use codesign::kernels::KernelKind;
 use rocket_sim::TimingConfig;
 use testgen::{TestConfig, TestVector};
@@ -64,6 +66,13 @@ pub enum BenchError {
         /// How many of the verified results mismatched.
         mismatches: usize,
     },
+    /// A guest faulted, exited nonzero, or missed a measurement marker.
+    Run {
+        /// The kernel whose guest failed.
+        kind: KernelKind,
+        /// Why the run failed.
+        error: RunError,
+    },
 }
 
 impl std::fmt::Display for BenchError {
@@ -75,6 +84,7 @@ impl std::fmt::Display for BenchError {
             BenchError::ResultMismatch { kind, mismatches } => {
                 write!(f, "{kind}: {mismatches} result mismatch(es) against the oracle")
             }
+            BenchError::Run { kind, error } => write!(f, "{kind}: guest run failed: {error}"),
         }
     }
 }
@@ -90,28 +100,16 @@ pub fn try_guest_for(kind: KernelKind, vectors: &[TestVector]) -> Result<GuestPr
     })
 }
 
-/// Builds a guest for the canonical workload.
-///
-/// # Panics
-///
-/// Panics if kernel emission produced unassemblable source (a bug).
-/// Binaries should prefer [`try_guest_for`]; this wrapper exists for the
-/// Criterion benches, where a panic is the right failure mode.
-#[must_use]
-pub fn guest_for(kind: KernelKind, vectors: &[TestVector]) -> GuestProgram {
-    try_guest_for(kind, vectors).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Runs one kernel cycle-accurately and verifies results against the
-/// oracle (unless the kernel is a dummy configuration), reporting both
-/// build failures and oracle mismatches as typed [`BenchError`]s.
+/// oracle (unless the kernel is a dummy configuration), reporting build
+/// failures, failed runs and oracle mismatches as typed [`BenchError`]s.
 pub fn try_evaluate_cycles(
     kind: KernelKind,
     vectors: &[TestVector],
     timing: TimingConfig,
 ) -> Result<CycleEvaluation, BenchError> {
     let guest = try_guest_for(kind, vectors)?;
-    let eval = run_rocket(&guest, timing);
+    let eval = try_run_rocket(&guest, timing).map_err(|error| BenchError::Run { kind, error })?;
     if !kind.results_are_dummy() {
         let mismatches = verify_results(&eval.results, vectors);
         if !mismatches.is_empty() {
@@ -122,22 +120,6 @@ pub fn try_evaluate_cycles(
         }
     }
     Ok(eval)
-}
-
-/// Runs one kernel cycle-accurately and verifies results against the
-/// oracle (unless the kernel is a dummy configuration).
-///
-/// # Panics
-///
-/// Panics on result mismatches for non-dummy kernels. Binaries should
-/// prefer [`try_evaluate_cycles`].
-#[must_use]
-pub fn evaluate_cycles(
-    kind: KernelKind,
-    vectors: &[TestVector],
-    timing: TimingConfig,
-) -> CycleEvaluation {
-    try_evaluate_cycles(kind, vectors, timing).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -152,7 +134,7 @@ mod tests {
     #[test]
     fn evaluate_cycles_smoke() {
         let vectors = workload(20, 3);
-        let eval = evaluate_cycles(KernelKind::Method1, &vectors, rocket_timing(1));
+        let eval = try_evaluate_cycles(KernelKind::Method1, &vectors, rocket_timing(1)).unwrap();
         assert!(eval.avg_total_cycles > 0.0);
         assert!(eval.avg_hw_cycles > 0.0);
     }

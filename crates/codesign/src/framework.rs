@@ -5,23 +5,25 @@
 //! are assembled into one RISC-V binary, and that binary runs unmodified on
 //! each evaluation platform —
 //!
-//! * [`run_functional`] — the Spike-role functional simulator, used for
-//!   verification against the `decnum` oracle;
-//! * [`run_rocket`] — the cycle-accurate Rocket-like core with the decimal
-//!   accelerator attached, producing the SW/HW cycle split of Table IV;
-//! * [`run_atomic`] — the Gem5-`AtomicSimpleCPU`-like model of Table VI;
+//! * [`try_run_functional`] — the Spike-role functional simulator, used
+//!   for verification against the `decnum` oracle;
+//! * [`try_run_rocket`] — the cycle-accurate Rocket-like core with the
+//!   decimal accelerator attached, producing the SW/HW cycle split of
+//!   Table IV;
+//! * [`try_run_atomic`] — the Gem5-`AtomicSimpleCPU`-like model of Table VI;
 //! * [`time_native`] — host wall-clock runs of the native implementations
 //!   (Table V).
 
 use std::time::{Duration, Instant};
 
-use atomic_sim::{AtomicConfig, AtomicSim};
+use atomic_sim::{AtomicConfig, AtomicTiming};
 use decnum::Status;
 use dpd::Decimal64;
 use riscv_asm::{assemble, AsmError, Program, STACK_TOP};
 use riscv_isa::Reg;
+use riscv_sim::{Cpu, Machine, Marker, TimingModel};
 use rocc::DecimalAccelerator;
-use rocket_sim::{RocketSim, RunStats, TimingConfig};
+use rocket_sim::{RocketTiming, RunStats, TimingConfig};
 use testgen::{driver_source, operand_data_section, DriverLayout, TestVector};
 
 use crate::kernels::{kernel_source, KernelKind};
@@ -82,16 +84,30 @@ pub fn build_guest_with(
     })
 }
 
-fn load_into_cpu(cpu: &mut riscv_sim::Cpu, guest: &GuestProgram) {
-    for seg in guest.program.segments() {
-        if !seg.data.is_empty() {
+/// Loads an assembled program into a core: all segments into memory, `pc`
+/// at the entry point, and the stack pointer at [`STACK_TOP`]. Every
+/// runner and harness loads guests through this one function.
+///
+/// # Panics
+///
+/// Panics if a segment does not fit in guest memory (a malformed program).
+pub fn load_program(cpu: &mut Cpu, program: &Program) {
+    for segment in program.segments() {
+        if !segment.data.is_empty() {
             cpu.memory
-                .load_bytes(seg.base, &seg.data)
-                .expect("segment loads");
+                .load_bytes(segment.base, &segment.data)
+                .expect("program segment loads");
         }
     }
-    cpu.set_pc(guest.program.entry);
+    cpu.set_pc(program.entry);
     cpu.set_reg(Reg::SP, STACK_TOP);
+}
+
+/// The instruction budget for a guest: a fixed allowance for the driver
+/// plus a generous per-call bound for the kernel.
+#[must_use]
+pub fn guest_budget(guest: &GuestProgram) -> u64 {
+    200_000 + guest.layout.count as u64 * u64::from(guest.layout.repetitions.max(1)) * 40_000
 }
 
 fn read_results(memory: &riscv_sim::Memory, guest: &GuestProgram) -> Vec<u64> {
@@ -108,15 +124,9 @@ fn read_results(memory: &riscv_sim::Memory, guest: &GuestProgram) -> Vec<u64> {
         .collect()
 }
 
-fn instruction_budget(guest: &GuestProgram) -> u64 {
-    200_000 + guest.layout.count as u64 * u64::from(guest.layout.repetitions.max(1)) * 40_000
-}
-
 /// A guest run that did not produce results: a fault, a nonzero exit, or a
-/// missing measurement marker. The panicking `run_*` entry points wrap
-/// these; the `try_run_*` variants surface them to callers that inject
-/// faults on purpose and expect to handle failure.
-#[derive(Debug, Clone, PartialEq)]
+/// missing measurement marker.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// The guest faulted; the program counter locates the instruction.
     Fault {
@@ -152,6 +162,43 @@ pub fn read_degradation(memory: &riscv_sim::Memory, guest: &GuestProgram) -> Opt
     memory.read_u64(base).ok()
 }
 
+/// The one guest runner behind every platform: a fresh machine with timing
+/// model `T` and the decimal accelerator attached, run to a zero exit.
+fn run_guest<T: TimingModel>(
+    guest: &GuestProgram,
+    config: T::Config,
+) -> Result<Machine<T>, RunError> {
+    let mut sim = Machine::<T>::new(config);
+    sim.attach_coprocessor(Box::new(DecimalAccelerator::new()));
+    load_program(&mut sim.cpu, &guest.program);
+    let report = sim
+        .run(guest_budget(guest))
+        .map_err(|error| RunError::Fault {
+            pc: sim.cpu.pc(),
+            error,
+        })?;
+    if report.exit_code != 0 {
+        return Err(RunError::ExitCode(report.exit_code));
+    }
+    Ok(sim)
+}
+
+/// The marker with `id`, or [`RunError::MissingMarker`] naming it.
+fn marker(markers: &[Marker], id: u64, which: &'static str) -> Result<Marker, RunError> {
+    markers
+        .iter()
+        .find(|m| m.id == id)
+        .copied()
+        .ok_or(RunError::MissingMarker(which))
+}
+
+/// Modelled cycles between the driver's loop-start and loop-end markers.
+fn measured_cycles(markers: &[Marker]) -> Result<u64, RunError> {
+    let start = marker(markers, testgen::MARK_LOOP_START, "loop start")?;
+    let end = marker(markers, testgen::MARK_LOOP_END, "loop end")?;
+    Ok(end.cycle - start.cycle)
+}
+
 /// Outcome of a functional (Spike-role) run.
 #[derive(Debug, Clone)]
 pub struct FunctionalRun {
@@ -165,39 +212,18 @@ pub struct FunctionalRun {
 }
 
 /// Runs the guest on the functional simulator (with the accelerator
-/// attached when the kernel needs it), surfacing failures as values.
+/// attached when the kernel needs it).
 ///
 /// # Errors
 ///
 /// Returns [`RunError`] if the guest faults or exits nonzero.
 pub fn try_run_functional(guest: &GuestProgram) -> Result<FunctionalRun, RunError> {
-    let mut cpu = riscv_sim::Cpu::new();
-    cpu.attach_coprocessor(Box::new(DecimalAccelerator::new()));
-    load_into_cpu(&mut cpu, guest);
-    let code = cpu.run(instruction_budget(guest)).map_err(|error| RunError::Fault {
-        pc: cpu.pc(),
-        error,
-    })?;
-    if code != 0 {
-        return Err(RunError::ExitCode(code));
-    }
+    let sim = run_guest::<()>(guest, ())?;
     Ok(FunctionalRun {
-        results: read_results(&cpu.memory, guest),
-        instret: cpu.instret,
-        degraded: read_degradation(&cpu.memory, guest),
+        results: read_results(&sim.cpu.memory, guest),
+        instret: sim.cpu.instret,
+        degraded: read_degradation(&sim.cpu.memory, guest),
     })
-}
-
-/// Runs the guest on the functional simulator (with the accelerator
-/// attached when the kernel needs it).
-///
-/// # Panics
-///
-/// Panics if the guest faults — kernels are expected to be correct by
-/// construction; a fault is a framework bug worth failing loudly on.
-#[must_use]
-pub fn run_functional(guest: &GuestProgram) -> FunctionalRun {
-    try_run_functional(guest).unwrap_or_else(|e| panic!("functional run failed: {e}"))
 }
 
 /// Outcome of a cycle-accurate run: Table IV's quantities.
@@ -218,8 +244,7 @@ pub struct CycleEvaluation {
     pub degraded: Option<u64>,
 }
 
-/// Runs the guest cycle-accurately on the Rocket-like core, surfacing
-/// failures as values.
+/// Runs the guest cycle-accurately on the Rocket-like core.
 ///
 /// # Errors
 ///
@@ -229,49 +254,21 @@ pub fn try_run_rocket(
     guest: &GuestProgram,
     timing: TimingConfig,
 ) -> Result<CycleEvaluation, RunError> {
-    let mut sim = RocketSim::new(timing);
-    sim.attach_coprocessor(Box::new(DecimalAccelerator::new()));
-    load_into_cpu(&mut sim.cpu, guest);
-    let report = sim.run(instruction_budget(guest)).map_err(|error| RunError::Fault {
-        pc: sim.cpu.pc(),
-        error,
-    })?;
-    if report.exit_code != 0 {
-        return Err(RunError::ExitCode(report.exit_code));
-    }
-    let start = report
-        .markers
-        .iter()
-        .find(|m| m.id == testgen::MARK_LOOP_START)
-        .ok_or(RunError::MissingMarker("loop start"))?;
-    let end = report
-        .markers
-        .iter()
-        .find(|m| m.id == testgen::MARK_LOOP_END)
-        .ok_or(RunError::MissingMarker("loop end"))?;
+    let sim = run_guest::<RocketTiming>(guest, timing)?;
+    let region = measured_cycles(&sim.cpu.markers)? as f64;
     let calls = (guest.layout.count as f64) * f64::from(guest.layout.repetitions.max(1));
-    let region = (end.cycle - start.cycle) as f64;
+    let stats = sim.stats();
     // The HW bucket only accumulates inside kernel executions, so the
     // whole-run total is the measurement region's total.
-    let hw = report.stats.hw_cycles as f64;
+    let hw = stats.hw_cycles as f64;
     Ok(CycleEvaluation {
         results: read_results(&sim.cpu.memory, guest),
         avg_total_cycles: region / calls,
         avg_hw_cycles: hw / calls,
         avg_sw_cycles: (region - hw) / calls,
-        stats: report.stats,
+        stats,
         degraded: read_degradation(&sim.cpu.memory, guest),
     })
-}
-
-/// Runs the guest cycle-accurately on the Rocket-like core.
-///
-/// # Panics
-///
-/// Panics on guest faults or a missing measurement region.
-#[must_use]
-pub fn run_rocket(guest: &GuestProgram, timing: TimingConfig) -> CycleEvaluation {
-    try_run_rocket(guest, timing).unwrap_or_else(|e| panic!("rocket run failed: {e}"))
 }
 
 /// Per-input-class cycle averages from a marked run.
@@ -290,37 +287,32 @@ pub struct ClassBreakdown {
 /// highly dependent on the nature of the input, like rounding operation
 /// takes higher time than normal operation".
 ///
+/// # Errors
+///
+/// Returns [`RunError`] on guest faults, nonzero exit, or a missing
+/// end marker.
+///
 /// # Panics
 ///
-/// Panics if the guest was built without per-sample markers, or on faults.
-#[must_use]
+/// Panics if the guest was built without per-sample markers, or was built
+/// over different vectors.
 pub fn run_rocket_per_class(
     guest: &GuestProgram,
     vectors: &[TestVector],
     timing: TimingConfig,
-) -> ClassBreakdown {
+) -> Result<ClassBreakdown, RunError> {
     assert!(
         guest.layout.per_sample_marks,
         "guest must be built with per-sample markers"
     );
-    let mut sim = RocketSim::new(timing);
-    sim.attach_coprocessor(Box::new(DecimalAccelerator::new()));
-    load_into_cpu(&mut sim.cpu, guest);
-    let report = sim
-        .run(instruction_budget(guest))
-        .unwrap_or_else(|e| panic!("rocket run faulted: {e}"));
-    assert_eq!(report.exit_code, 0);
+    let sim = run_guest::<RocketTiming>(guest, timing)?;
+    let markers = &sim.cpu.markers;
     // Per-sample cycles: marker i+1 (or the end marker) minus marker i.
-    let sample_marks: Vec<&riscv_sim::Marker> = report
-        .markers
+    let sample_marks: Vec<&Marker> = markers
         .iter()
         .filter(|m| m.id >= testgen::MARK_SAMPLE_BASE)
         .collect();
-    let end = report
-        .markers
-        .iter()
-        .find(|m| m.id == testgen::MARK_LOOP_END)
-        .expect("end marker");
+    let end = marker(markers, testgen::MARK_LOOP_END, "loop end")?;
     assert_eq!(sample_marks.len(), vectors.len(), "one marker per sample");
     let reps = f64::from(guest.layout.repetitions.max(1));
     let mut sums: std::collections::BTreeMap<testgen::CaseClass, (f64, usize)> =
@@ -337,13 +329,13 @@ pub fn run_rocket_per_class(
         entry.0 += cycles;
         entry.1 += 1;
     }
-    ClassBreakdown {
+    Ok(ClassBreakdown {
         rows: sums
             .into_iter()
             .map(|(class, (sum, n))| (class, sum / n as f64, n))
             .collect(),
         overall: total / vectors.len() as f64,
-    }
+    })
 }
 
 /// Outcome of a Gem5-like atomic run: Table VI's quantities.
@@ -358,7 +350,7 @@ pub struct AtomicEvaluation {
 }
 
 /// Runs the guest on the atomic (Gem5 `AtomicSimpleCPU` SE-mode analogue)
-/// simulator, surfacing failures as values.
+/// simulator.
 ///
 /// # Errors
 ///
@@ -368,42 +360,14 @@ pub fn try_run_atomic(
     guest: &GuestProgram,
     config: AtomicConfig,
 ) -> Result<AtomicEvaluation, RunError> {
-    let mut sim = AtomicSim::new(config);
-    sim.attach_coprocessor(Box::new(DecimalAccelerator::new()));
-    load_into_cpu(&mut sim.cpu, guest);
-    let report = sim.run(instruction_budget(guest)).map_err(|error| RunError::Fault {
-        pc: sim.cpu.pc(),
-        error,
-    })?;
-    if report.exit_code != 0 {
-        return Err(RunError::ExitCode(report.exit_code));
-    }
-    let start = report
-        .markers
-        .iter()
-        .find(|m| m.id == testgen::MARK_LOOP_START)
-        .ok_or(RunError::MissingMarker("loop start"))?;
-    let end = report
-        .markers
-        .iter()
-        .find(|m| m.id == testgen::MARK_LOOP_END)
-        .ok_or(RunError::MissingMarker("loop end"))?;
+    let sim = run_guest::<AtomicTiming>(guest, config)?;
     Ok(AtomicEvaluation {
         results: read_results(&sim.cpu.memory, guest),
-        simulated_seconds: (end.cycle - start.cycle) as f64 / config.clock_hz,
-        instret: report.stats.instret,
+        simulated_seconds: sim
+            .timing
+            .simulated_seconds(measured_cycles(&sim.cpu.markers)?),
+        instret: sim.stats().instret,
     })
-}
-
-/// Runs the guest on the atomic (Gem5 `AtomicSimpleCPU` SE-mode analogue)
-/// simulator.
-///
-/// # Panics
-///
-/// Panics on guest faults.
-#[must_use]
-pub fn run_atomic(guest: &GuestProgram, config: AtomicConfig) -> AtomicEvaluation {
-    try_run_atomic(guest, config).unwrap_or_else(|e| panic!("atomic run failed: {e}"))
 }
 
 /// Compares per-sample results against the `decnum` oracle; returns the

@@ -6,22 +6,22 @@ use std::collections::VecDeque;
 
 use riscv_isa::instr::Instr;
 use riscv_isa::{csr, Reg};
-use riscv_sim::{Cpu, CpuError, Event, RetirementRecord};
+use riscv_sim::{Cpu, CpuError, Event, Machine, RetirementRecord, TimingModel};
 
 /// Default number of pre-divergence retirements kept as context.
 pub const DEFAULT_CONTEXT: usize = 8;
 
-/// Anything that can be stepped in lockstep: the functional core itself, or
-/// a timing model wrapping one. The wrapped [`Cpu`] gives the comparator
+/// Anything that can be stepped in lockstep: a [`Machine`] with any timing
+/// model, or a test fake wrapping a [`Cpu`]. The core gives the comparator
 /// access to the architectural state after each step.
 pub trait LockstepSim {
     /// Short name used in divergence reports (e.g. `"rocket"`).
     fn label(&self) -> &'static str;
 
-    /// The wrapped functional core.
+    /// The functional core.
     fn cpu(&self) -> &Cpu;
 
-    /// The wrapped functional core, mutably (for program loading).
+    /// The functional core, mutably (for program loading).
     fn cpu_mut(&mut self) -> &mut Cpu;
 
     /// Executes one instruction.
@@ -32,45 +32,9 @@ pub trait LockstepSim {
     fn step_sim(&mut self) -> Result<Event, CpuError>;
 }
 
-impl LockstepSim for Cpu {
+impl<T: TimingModel> LockstepSim for Machine<T> {
     fn label(&self) -> &'static str {
-        "functional"
-    }
-
-    fn cpu(&self) -> &Cpu {
-        self
-    }
-
-    fn cpu_mut(&mut self) -> &mut Cpu {
-        self
-    }
-
-    fn step_sim(&mut self) -> Result<Event, CpuError> {
-        self.step()
-    }
-}
-
-impl LockstepSim for rocket_sim::RocketSim {
-    fn label(&self) -> &'static str {
-        "rocket"
-    }
-
-    fn cpu(&self) -> &Cpu {
-        &self.cpu
-    }
-
-    fn cpu_mut(&mut self) -> &mut Cpu {
-        &mut self.cpu
-    }
-
-    fn step_sim(&mut self) -> Result<Event, CpuError> {
-        self.step()
-    }
-}
-
-impl LockstepSim for atomic_sim::AtomicSim {
-    fn label(&self) -> &'static str {
-        "atomic"
+        T::LABEL
     }
 
     fn cpu(&self) -> &Cpu {

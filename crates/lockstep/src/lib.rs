@@ -81,7 +81,7 @@ mod tests {
     use super::*;
     use riscv_asm::{assemble, TEXT_BASE};
     use riscv_isa::Reg;
-    use riscv_sim::{Cpu, CpuError, Event};
+    use riscv_sim::{Cpu, CpuError, Event, Machine};
 
     /// A functional core with a deliberate single-instruction semantic
     /// mutation: after the instruction at `mutate_at` retires, its
@@ -149,9 +149,9 @@ mod tests {
         let program = assemble(STRAIGHT_LINE).unwrap();
         let mutated_pc = TEXT_BASE + 2 * 4; // the `addi t2, t1, 2`
         let mut mutant = MutantSim::new(mutated_pc);
-        let mut reference = Cpu::new();
+        let mut reference = Machine::<()>::new(());
         load_program(mutant.cpu_mut(), &program);
-        load_program(&mut reference, &program);
+        load_program(&mut reference.cpu, &program);
         let outcome = run_lockstep(&mut mutant, &mut reference, &LockstepOptions::default());
         let divergence = outcome.divergence().expect("mutation must be caught");
         assert_eq!(divergence.pc, mutated_pc, "{divergence}");
@@ -170,9 +170,9 @@ mod tests {
         let program = assemble(STRAIGHT_LINE).unwrap();
         // A MutantSim that never fires behaves exactly like the reference.
         let mut mutant = MutantSim::new(u64::MAX);
-        let mut reference = Cpu::new();
+        let mut reference = Machine::<()>::new(());
         load_program(mutant.cpu_mut(), &program);
-        load_program(&mut reference, &program);
+        load_program(&mut reference.cpu, &program);
         let outcome = run_lockstep(&mut mutant, &mut reference, &LockstepOptions::default());
         assert!(outcome.is_agreement());
     }
@@ -294,12 +294,12 @@ mod tests {
             let Ok(program) = assemble(&render(items)) else {
                 return false;
             };
-            let mut good = Cpu::new();
+            let mut good = Machine::<()>::new(());
             good.attach_coprocessor(Box::new(DecimalAccelerator::new()));
-            let mut bad = Cpu::new();
+            let mut bad = Machine::<()>::new(());
             bad.attach_coprocessor(Box::new(WrongDigitAccelerator::new(DecimalFunct::DecAdd)));
-            load_program(&mut good, &program);
-            load_program(&mut bad, &program);
+            load_program(&mut good.cpu, &program);
+            load_program(&mut bad.cpu, &program);
             !run_lockstep(&mut good, &mut bad, &LockstepOptions::default()).is_agreement()
         };
         assert!(

@@ -223,8 +223,8 @@ pub struct Marker {
 /// The functional RV64IM core with host interface and RoCC port.
 ///
 /// The functional core advances [`Cpu::cycle`] by one per instruction; a
-/// timing model (like `rocket-sim`) drives the field itself so guest
-/// `rdcycle` reads observe modelled time.
+/// [`crate::Machine`] with a timing model (like `rocket-sim`'s) drives the
+/// field itself so guest `rdcycle` reads observe modelled time.
 ///
 /// # Example
 ///
@@ -326,8 +326,8 @@ impl Cpu {
     /// of every retired instruction. The observer is harness state, not
     /// architectural state: [`Cpu::reset`] keeps it installed.
     ///
-    /// Timing wrappers (`rocket-sim`, `atomic-sim`) execute through this
-    /// core, so an observer installed here sees their streams too.
+    /// Every [`crate::Machine`] executes through this core, so an observer
+    /// installed here sees the stream whatever the timing model.
     pub fn set_retire_observer(&mut self, observer: impl FnMut(&RetirementRecord) + 'static) {
         self.retire_observer = Some(Box::new(observer));
     }

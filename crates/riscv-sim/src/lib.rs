@@ -9,19 +9,20 @@
 //!   interface (`exit`, `write`, and a `mark` extension for delimiting
 //!   measurement regions) and user counters (`rdcycle`, `rdinstret`);
 //! * [`Coprocessor`] — the RoCC attachment point that the decimal
-//!   accelerator implements.
-//!
-//! Timing models (the Rocket-like pipeline in `rocket-sim`, the Gem5-like
-//! atomic CPU in `atomic-sim`) wrap [`Cpu`] for semantics and drive
-//! [`Cpu::cycle`] themselves, so one executor is shared by every evaluation
-//! platform — the same property the paper gets from reusing one RISC-V
-//! binary everywhere.
+//!   accelerator implements;
+//! * [`Machine`] — the simulator: a [`Cpu`] plus a [`TimingModel`]. The
+//!   functional simulator is `Machine<()>`; the Rocket-like pipeline
+//!   (`rocket-sim`) and the Gem5-like atomic CPU (`atomic-sim`) are timing
+//!   models plugged into the same machine, so one executor, one run loop
+//!   and one snapshot format serve every evaluation platform — the same
+//!   property the paper gets from reusing one RISC-V binary everywhere.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod coproc;
 mod cpu;
+mod machine;
 mod memory;
 pub mod snapshot;
 pub mod trace;
@@ -33,6 +34,7 @@ pub use cpu::{
     syscall, trap_cause, Cpu, Event, Marker, MemAccess, MemEffect, Retired, RetireObserver,
     RetirementRecord, TrapRecord, DEFAULT_ROCC_WATCHDOG,
 };
+pub use machine::{Machine, RunReport, TimingModel};
 pub use memory::Memory;
 pub use snapshot::{CoprocSnapshot, CpuSnapshot, SnapshotError, SNAPSHOT_VERSION};
 

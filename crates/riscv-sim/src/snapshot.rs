@@ -8,19 +8,22 @@
 //! architectural state (register file, FSM state including the sticky
 //! `Error` state, latched status word).
 //!
-//! The wire format is a little-endian byte stream wrapped in a common
-//! envelope (magic, format version, a per-simulator *kind* tag, body
-//! length, FNV-1a-64 checksum). The envelope is shared by all three
-//! simulators — `rocket-sim` and `atomic-sim` embed a serialized
-//! [`CpuSnapshot`] inside their own sealed bodies — so version and
-//! corruption checks behave identically everywhere: a snapshot from a
-//! different format version fails with a clear
-//! [`SnapshotError::Version`], never garbage state.
+//! The wire format is a little-endian byte stream wrapped in one envelope
+//! (magic, format version, a per-timing-model *kind* tag, body length,
+//! FNV-1a-64 checksum). [`crate::Machine::snapshot`] writes the body as
+//! the encoded [`CpuSnapshot`] followed by the timing model's own state,
+//! so version and corruption checks behave identically on every
+//! simulator: a snapshot from a different format version fails with a
+//! clear [`SnapshotError::Version`], never garbage state.
 
 use crate::cpu::{Marker, TrapRecord};
 
 /// Current snapshot format version. Bump on any wire-format change.
-pub const SNAPSHOT_VERSION: u32 = 1;
+///
+/// Version 2 stores the core and the timing model's state in one body;
+/// version 1 nested a separately sealed core snapshot inside the Rocket
+/// and atomic bodies.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Envelope magic: `"RVSN"` little-endian.
 const SNAPSHOT_MAGIC: u32 = 0x4E53_5652;
@@ -308,7 +311,7 @@ pub struct CoprocSnapshot {
     pub data: Vec<u8>,
 }
 
-/// Envelope kind tag of a functional-core snapshot.
+/// Envelope kind tag of a functional-machine snapshot.
 pub const KIND_CPU: u32 = 0x5543_5046; // "FPCU"
 
 /// Complete architectural state of the functional core — everything
@@ -341,10 +344,8 @@ pub struct CpuSnapshot {
 }
 
 impl CpuSnapshot {
-    /// Serializes into the sealed envelope format.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+    /// Appends the snapshot to a body under construction.
+    pub fn encode(&self, w: &mut ByteWriter) {
         for reg in self.regs {
             w.u64(reg);
         }
@@ -383,13 +384,15 @@ impl CpuSnapshot {
                 w.blob(&coproc.data);
             }
         }
-        seal(KIND_CPU, &w.finish())
     }
 
-    /// Deserializes from the sealed envelope format.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let body = unseal(bytes, KIND_CPU)?;
-        let mut r = ByteReader::new(body);
+    /// Reads a snapshot written by [`CpuSnapshot::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError::Truncated`] or [`SnapshotError::Malformed`]
+    /// if the stream does not hold a complete snapshot.
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
         let mut regs = [0u64; 32];
         for reg in &mut regs {
             *reg = r.u64()?;
@@ -438,7 +441,6 @@ impl CpuSnapshot {
         } else {
             None
         };
-        r.expect_end()?;
         Ok(CpuSnapshot {
             regs,
             pc,
@@ -522,7 +524,11 @@ mod tests {
                 data: vec![1, 2, 3],
             }),
         };
-        let decoded = CpuSnapshot::from_bytes(&snapshot.to_bytes()).unwrap();
-        assert_eq!(decoded, snapshot);
+        let mut w = ByteWriter::new();
+        snapshot.encode(&mut w);
+        let bytes = w.finish();
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(CpuSnapshot::decode(&mut r).unwrap(), snapshot);
+        r.expect_end().unwrap();
     }
 }

@@ -8,6 +8,9 @@
 //! seed replays exactly while different seeds exhibit the same spread the
 //! paper describes.
 
+use riscv_sim::snapshot::{ByteReader, ByteWriter};
+use riscv_sim::SnapshotError;
+
 /// Geometry of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -147,45 +150,49 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// Captures tag array, generator state, and counters. Restoring the
-    /// snapshot reproduces the exact future victim sequence, so a resumed
-    /// run's `rdcycle` values match the uninterrupted run bit-for-bit.
-    #[must_use]
-    pub fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            tags: self.tags.clone(),
-            rng: self.rng,
-            stats: self.stats,
+    /// Appends tag array, generator state, and counters to a snapshot
+    /// body. Restoring them reproduces the exact future victim sequence,
+    /// so a resumed run's `rdcycle` values match the uninterrupted run
+    /// bit-for-bit. The geometry is not saved.
+    pub fn save(&self, w: &mut ByteWriter) {
+        w.u64(self.tags.len() as u64);
+        for tag in &self.tags {
+            match tag {
+                None => w.bool(false),
+                Some(tag) => {
+                    w.bool(true);
+                    w.u64(*tag);
+                }
+            }
         }
+        w.u64(self.rng);
+        w.u64(self.stats.hits);
+        w.u64(self.stats.misses);
     }
 
-    /// Restores a snapshot taken from a cache of the same geometry.
+    /// Reads back state written by [`Cache::save`] from a cache of the
+    /// same geometry.
     ///
     /// # Errors
     ///
-    /// Returns a description if the snapshot's tag array does not fit this
-    /// cache's geometry.
-    pub fn restore(&mut self, snapshot: &CacheSnapshot) -> Result<(), &'static str> {
-        if snapshot.tags.len() != self.tags.len() {
-            return Err("cache snapshot geometry does not match");
+    /// Returns [`SnapshotError`] on truncation or a tag array that does not
+    /// fit this cache's geometry.
+    pub fn load(&mut self, r: &mut ByteReader<'_>) -> Result<(), SnapshotError> {
+        if r.u64()? != self.tags.len() as u64 {
+            return Err(SnapshotError::Malformed(
+                "cache snapshot geometry does not match",
+            ));
         }
-        self.tags.clone_from(&snapshot.tags);
-        self.rng = snapshot.rng;
-        self.stats = snapshot.stats;
+        for tag in &mut self.tags {
+            *tag = if r.bool()? { Some(r.u64()?) } else { None };
+        }
+        self.rng = r.u64()?;
+        self.stats = CacheStats {
+            hits: r.u64()?,
+            misses: r.u64()?,
+        };
         Ok(())
     }
-}
-
-/// Serializable state of a [`Cache`] (geometry excluded — a snapshot only
-/// restores into a cache built with the same [`CacheConfig`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheSnapshot {
-    /// The tag array, `tags[set * ways + way]`.
-    pub tags: Vec<Option<u64>>,
-    /// Replacement-generator state.
-    pub rng: u64,
-    /// Hit/miss counters.
-    pub stats: CacheStats,
 }
 
 #[cfg(test)]

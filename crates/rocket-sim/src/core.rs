@@ -2,10 +2,10 @@
 
 use riscv_isa::instr::{Instr, OpOp};
 use riscv_isa::Reg;
-use riscv_sim::snapshot::{seal, unseal, ByteReader, ByteWriter};
-use riscv_sim::{Coprocessor, CpuError, CpuSnapshot, Event, Marker, Memory, Retired, SnapshotError};
+use riscv_sim::snapshot::{ByteReader, ByteWriter};
+use riscv_sim::{CpuError, Event, Machine, Retired, SnapshotError, TimingModel};
 
-use crate::cache::{Cache, CacheConfig, CacheSnapshot, CacheStats};
+use crate::cache::{Cache, CacheConfig, CacheStats};
 
 /// Pipeline latency and penalty parameters, with Rocket-flavoured defaults.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,10 +28,6 @@ pub struct TimingConfig {
     /// command has `xd` set (the RoCC interface "imposes a latency overhead
     /// during data exchange", paper §V).
     pub rocc_resp_latency: u32,
-    /// RoCC busy-watchdog bound: a command whose accelerator busy time
-    /// reaches this many cycles is aborted and reported as
-    /// [`CpuError::RoccTimeout`] (trappable when `mtvec` is armed).
-    pub rocc_watchdog: u32,
     /// Pipeline flush cost of delivering a trap to the `mtvec` handler.
     pub trap_penalty: u32,
     /// Seed for the caches' random-replacement generators.
@@ -49,7 +45,6 @@ impl Default for TimingConfig {
             div_latency: 34,
             branch_penalty: 2,
             rocc_resp_latency: 2,
-            rocc_watchdog: riscv_sim::DEFAULT_ROCC_WATCHDOG,
             trap_penalty: 3,
             seed: 0x5EED_0001,
         }
@@ -79,21 +74,11 @@ pub struct RunStats {
     pub dcache: CacheStats,
 }
 
-/// Result of a completed run.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// The guest's exit code.
-    pub exit_code: i64,
-    /// Cycle/instruction counters.
-    pub stats: RunStats,
-    /// Markers the guest recorded (cycle values are modelled cycles).
-    pub markers: Vec<Marker>,
-    /// Captured console output.
-    pub console: Vec<u8>,
-}
-
 /// The Rocket-like cycle-accurate core: an in-order single-issue pipeline
-/// model wrapping the functional executor.
+/// model on the shared functional executor.
+pub type RocketSim = Machine<RocketTiming>;
+
+/// The Rocket-like pipeline timing model.
 ///
 /// Timing is charged per retired instruction: one issue cycle, operand
 /// stalls from a register scoreboard (load/mul/div latencies), I-cache and
@@ -101,120 +86,26 @@ pub struct RunReport {
 /// the RoCC handshake + accelerator busy time for custom instructions.
 /// RoCC-attributed cycles accumulate separately so Table IV's SW/HW split
 /// falls directly out of a run.
-pub struct RocketSim {
-    /// The wrapped functional core (public for program loading and register
-    /// setup).
-    pub cpu: riscv_sim::Cpu,
+#[derive(Debug, Clone)]
+pub struct RocketTiming {
     config: TimingConfig,
     icache: Cache,
     dcache: Cache,
-    cycle: u64,
+    /// Cycle at which each register's pending result is ready.
     ready_at: [u64; 32],
+    /// Counters; the cache fields are filled in by [`TimingModel::stats`].
     stats: RunStats,
 }
 
-impl std::fmt::Debug for RocketSim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RocketSim")
-            .field("cycle", &self.cycle)
-            .field("stats", &self.stats)
-            .finish_non_exhaustive()
-    }
+/// Cycles charged for one retired instruction.
+struct Cost {
+    total: u64,
+    hw: u64,
 }
 
-impl Default for RocketSim {
-    fn default() -> Self {
-        RocketSim::new(TimingConfig::default())
-    }
-}
-
-impl RocketSim {
-    /// Builds a core with the given timing parameters.
-    #[must_use]
-    pub fn new(config: TimingConfig) -> Self {
-        let mut cpu = riscv_sim::Cpu::new();
-        cpu.rocc_watchdog = config.rocc_watchdog;
-        RocketSim {
-            cpu,
-            icache: Cache::new(config.icache, config.seed ^ 0x1CAC4E),
-            dcache: Cache::new(config.dcache, config.seed ^ 0xDCAC4E),
-            config,
-            cycle: 0,
-            ready_at: [0; 32],
-            stats: RunStats::default(),
-        }
-    }
-
-    /// Attaches an accelerator to the core's RoCC port.
-    pub fn attach_coprocessor(&mut self, coprocessor: Box<dyn Coprocessor>) {
-        self.cpu.attach_coprocessor(coprocessor);
-    }
-
-    /// Installs a retirement observer on the wrapped functional core, so
-    /// this simulator emits the same canonical retirement stream as the
-    /// others (see [`riscv_sim::RetirementRecord`]).
-    pub fn set_retire_observer(
-        &mut self,
-        observer: impl FnMut(&riscv_sim::RetirementRecord) + 'static,
-    ) {
-        self.cpu.set_retire_observer(observer);
-    }
-
-    /// The modelled cycle count so far.
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Counters so far.
-    #[must_use]
-    pub fn stats(&self) -> RunStats {
-        self.stats
-    }
-
-    /// Guest memory, for program loading.
-    pub fn memory(&mut self) -> &mut Memory {
-        &mut self.cpu.memory
-    }
-
-    /// Executes one instruction, charging modelled time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates functional-core faults ([`CpuError`]).
-    pub fn step(&mut self) -> Result<Event, CpuError> {
-        // Let guest rdcycle observe modelled time.
-        self.cpu.cycle = self.cycle;
-        let event = self.cpu.step()?;
-        let retired = match event {
-            Event::Exited { .. } => {
-                // The exiting ecall costs one software cycle.
-                self.cycle += 1;
-                self.stats.cycles = self.cycle;
-                self.stats.instret += 1;
-                self.stats.sw_cycles += 1;
-                return Ok(event);
-            }
-            Event::Trapped { .. } => {
-                // Trap delivery flushes the pipeline but retires nothing.
-                let cost = 1 + u64::from(self.config.trap_penalty);
-                self.cycle += cost;
-                self.stats.cycles = self.cycle;
-                self.stats.sw_cycles += cost;
-                return Ok(event);
-            }
-            Event::Retired(r) => r,
-        };
-        let cost = self.charge(&retired)?;
-        self.cycle += cost.total;
-        self.stats.cycles = self.cycle;
-        self.stats.instret += 1;
-        self.stats.sw_cycles += cost.total - cost.hw;
-        self.stats.hw_cycles += cost.hw;
-        Ok(event)
-    }
-
-    fn charge(&mut self, retired: &Retired) -> Result<Cost, CpuError> {
+impl RocketTiming {
+    fn charge_retired(&mut self, retired: &Retired) -> Result<Cost, CpuError> {
+        let cycle = self.stats.cycles;
         let mut total: u64 = 1; // issue
         let mut hw: u64 = 0;
 
@@ -222,7 +113,7 @@ impl RocketSim {
         let mut stall = 0;
         for src in retired.instr.sources().into_iter().flatten() {
             if src != Reg::ZERO {
-                stall = stall.max(self.ready_at[src.number() as usize].saturating_sub(self.cycle));
+                stall = stall.max(self.ready_at[src.number() as usize].saturating_sub(cycle));
             }
         }
         total += stall;
@@ -242,7 +133,7 @@ impl RocketSim {
             if !access.store {
                 if let Some(rd) = retired.instr.dest() {
                     self.ready_at[rd.number() as usize] =
-                        self.cycle + total + u64::from(self.config.load_latency) - 1;
+                        cycle + total + u64::from(self.config.load_latency) - 1;
                 }
             }
         }
@@ -254,14 +145,14 @@ impl RocketSim {
                     total += u64::from(self.config.div_latency) - 1;
                 } else if rd != Reg::ZERO {
                     self.ready_at[rd.number() as usize] =
-                        self.cycle + total + u64::from(self.config.mul_latency) - 1;
+                        cycle + total + u64::from(self.config.mul_latency) - 1;
                 }
             }
             Instr::Op32 { op, rd, .. } if op.is_muldiv() => {
                 if op == riscv_isa::instr::Op32Op::Mulw {
                     if rd != Reg::ZERO {
                         self.ready_at[rd.number() as usize] =
-                            self.cycle + total + u64::from(self.config.mul_latency) - 1;
+                            cycle + total + u64::from(self.config.mul_latency) - 1;
                     }
                 } else {
                     total += u64::from(self.config.div_latency) - 1;
@@ -292,196 +183,95 @@ impl RocketSim {
 
         Ok(Cost { total, hw })
     }
+}
 
-    /// Captures the complete machine state: the wrapped functional core
-    /// (via [`riscv_sim::Cpu::snapshot`]), the modelled cycle count, the
-    /// register scoreboard, the run counters, and both cache models
-    /// including their replacement-generator state — so a restored run's
-    /// timing (and therefore every guest-visible `rdcycle` value) matches
-    /// the uninterrupted run bit-for-bit.
-    #[must_use]
-    pub fn snapshot(&self) -> RocketSnapshot {
-        RocketSnapshot {
-            cpu: self.cpu.snapshot(),
-            cycle: self.cycle,
-            ready_at: self.ready_at,
-            stats: self.stats,
-            icache: self.icache.snapshot(),
-            dcache: self.dcache.snapshot(),
+impl TimingModel for RocketTiming {
+    type Config = TimingConfig;
+    type Stats = RunStats;
+    const LABEL: &'static str = "rocket";
+    const SNAPSHOT_KIND: u32 = 0x3154_4B52; // "RKT1"
+
+    fn new(config: TimingConfig) -> Self {
+        RocketTiming {
+            icache: Cache::new(config.icache, config.seed ^ 0x1CAC4E),
+            dcache: Cache::new(config.dcache, config.seed ^ 0xDCAC4E),
+            config,
+            ready_at: [0; 32],
+            stats: RunStats::default(),
         }
     }
 
-    /// Restores a snapshot taken from a core with the same
-    /// [`TimingConfig`] (the config itself is not snapshotted; cache
-    /// geometry is validated).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError`] on cache-geometry or coprocessor
-    /// mismatches; see [`riscv_sim::Cpu::restore`].
-    pub fn restore(&mut self, snapshot: &RocketSnapshot) -> Result<(), SnapshotError> {
-        self.icache
-            .restore(&snapshot.icache)
-            .map_err(SnapshotError::Malformed)?;
-        self.dcache
-            .restore(&snapshot.dcache)
-            .map_err(SnapshotError::Malformed)?;
-        self.cpu.restore(&snapshot.cpu)?;
-        self.cycle = snapshot.cycle;
-        self.ready_at = snapshot.ready_at;
-        self.stats = snapshot.stats;
+    fn cycle(&self) -> Option<u64> {
+        Some(self.stats.cycles)
+    }
+
+    fn charge(&mut self, event: &Event) -> Result<(), CpuError> {
+        match event {
+            Event::Retired(retired) => {
+                let cost = self.charge_retired(retired)?;
+                self.stats.cycles += cost.total;
+                self.stats.instret += 1;
+                self.stats.sw_cycles += cost.total - cost.hw;
+                self.stats.hw_cycles += cost.hw;
+            }
+            Event::Exited { .. } => {
+                // The exiting ecall costs one software cycle.
+                self.stats.cycles += 1;
+                self.stats.instret += 1;
+                self.stats.sw_cycles += 1;
+            }
+            Event::Trapped { .. } => {
+                // Trap delivery flushes the pipeline but retires nothing.
+                let cost = 1 + u64::from(self.config.trap_penalty);
+                self.stats.cycles += cost;
+                self.stats.sw_cycles += cost;
+            }
+        }
         Ok(())
     }
 
-    /// Runs to exit or `max_instructions`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates faults; see [`RocketSim::step`].
-    pub fn run(&mut self, max_instructions: u64) -> Result<RunReport, CpuError> {
-        for _ in 0..max_instructions {
-            if let Event::Exited { code } = self.step()? {
-                return Ok(RunReport {
-                    exit_code: code,
-                    stats: RunStats {
-                        icache: self.icache.stats(),
-                        dcache: self.dcache.stats(),
-                        ..self.stats
-                    },
-                    markers: self.cpu.markers.clone(),
-                    console: self.cpu.console.clone(),
-                });
-            }
-        }
-        Err(CpuError::InstructionLimit(max_instructions))
-    }
-}
-
-struct Cost {
-    total: u64,
-    hw: u64,
-}
-
-/// Envelope kind tag of a Rocket-core snapshot.
-pub const SNAPSHOT_KIND: u32 = 0x3154_4B52; // "RKT1"
-
-/// Complete serializable state of a [`RocketSim`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RocketSnapshot {
-    /// The wrapped functional core's state.
-    pub cpu: CpuSnapshot,
-    /// The modelled cycle count.
-    pub cycle: u64,
-    /// The register scoreboard (cycle each register's value is ready).
-    pub ready_at: [u64; 32],
-    /// Run counters.
-    pub stats: RunStats,
-    /// Instruction-cache state.
-    pub icache: CacheSnapshot,
-    /// Data-cache state.
-    pub dcache: CacheSnapshot,
-}
-
-fn encode_cache(w: &mut ByteWriter, cache: &CacheSnapshot) {
-    w.u64(cache.tags.len() as u64);
-    for tag in &cache.tags {
-        match tag {
-            None => w.bool(false),
-            Some(tag) => {
-                w.bool(true);
-                w.u64(*tag);
-            }
+    fn stats(&self) -> RunStats {
+        RunStats {
+            icache: self.icache.stats(),
+            dcache: self.dcache.stats(),
+            ..self.stats
         }
     }
-    w.u64(cache.rng);
-    w.u64(cache.stats.hits);
-    w.u64(cache.stats.misses);
-}
 
-fn decode_cache(r: &mut ByteReader<'_>) -> Result<CacheSnapshot, SnapshotError> {
-    let entries = r.u64()?;
-    let mut tags = Vec::new();
-    for _ in 0..entries {
-        tags.push(if r.bool()? { Some(r.u64()?) } else { None });
-    }
-    Ok(CacheSnapshot {
-        tags,
-        rng: r.u64()?,
-        stats: CacheStats {
-            hits: r.u64()?,
-            misses: r.u64()?,
-        },
-    })
-}
-
-impl RocketSnapshot {
-    /// Serializes into the sealed envelope format shared with the other
-    /// simulators (same magic/version/checksum scheme).
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.blob(&self.cpu.to_bytes());
-        w.u64(self.cycle);
+    fn save(&self, w: &mut ByteWriter) {
         for ready in self.ready_at {
             w.u64(ready);
         }
-        w.u64(self.stats.cycles);
-        w.u64(self.stats.sw_cycles);
-        w.u64(self.stats.hw_cycles);
-        w.u64(self.stats.instret);
-        w.u64(self.stats.rocc_instructions);
-        w.u64(self.stats.stall_cycles);
-        w.u64(self.stats.icache.hits);
-        w.u64(self.stats.icache.misses);
-        w.u64(self.stats.dcache.hits);
-        w.u64(self.stats.dcache.misses);
-        encode_cache(&mut w, &self.icache);
-        encode_cache(&mut w, &self.dcache);
-        seal(SNAPSHOT_KIND, &w.finish())
+        let stats = self.stats;
+        for counter in [
+            stats.cycles,
+            stats.sw_cycles,
+            stats.hw_cycles,
+            stats.instret,
+            stats.rocc_instructions,
+            stats.stall_cycles,
+        ] {
+            w.u64(counter);
+        }
+        self.icache.save(w);
+        self.dcache.save(w);
     }
 
-    /// Deserializes from the sealed envelope format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError`] on version, kind, checksum, or structure
-    /// mismatches.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let body = unseal(bytes, SNAPSHOT_KIND)?;
-        let mut r = ByteReader::new(body);
-        let cpu = CpuSnapshot::from_bytes(r.blob()?)?;
-        let cycle = r.u64()?;
-        let mut ready_at = [0u64; 32];
-        for ready in &mut ready_at {
+    fn load(&mut self, r: &mut ByteReader<'_>) -> Result<(), SnapshotError> {
+        for ready in &mut self.ready_at {
             *ready = r.u64()?;
         }
-        let stats = RunStats {
+        self.stats = RunStats {
             cycles: r.u64()?,
             sw_cycles: r.u64()?,
             hw_cycles: r.u64()?,
             instret: r.u64()?,
             rocc_instructions: r.u64()?,
             stall_cycles: r.u64()?,
-            icache: CacheStats {
-                hits: r.u64()?,
-                misses: r.u64()?,
-            },
-            dcache: CacheStats {
-                hits: r.u64()?,
-                misses: r.u64()?,
-            },
+            ..RunStats::default()
         };
-        let icache = decode_cache(&mut r)?;
-        let dcache = decode_cache(&mut r)?;
-        r.expect_end()?;
-        Ok(RocketSnapshot {
-            cpu,
-            cycle,
-            ready_at,
-            stats,
-            icache,
-            dcache,
-        })
+        self.icache.load(r)?;
+        self.dcache.load(r)
     }
 }
 

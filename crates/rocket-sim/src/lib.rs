@@ -1,12 +1,14 @@
 //! Cycle-accurate Rocket-like core model.
 //!
-//! This crate plays the role of the paper's Rocket-chip emulator: it wraps
-//! the functional executor from [`riscv_sim`] with an in-order single-issue
-//! pipeline timing model — register scoreboard, multi-cycle multiply/divide,
-//! L1 instruction/data caches with seeded random replacement, taken-branch
-//! flush penalty, and RoCC dispatch/response timing — and splits every run's
-//! cycles into a software part and a hardware (accelerator) part, which is
-//! exactly the decomposition reported in the paper's Table IV.
+//! This crate plays the role of the paper's Rocket-chip emulator. It is a
+//! [`riscv_sim::TimingModel`], [`RocketTiming`]: an in-order single-issue
+//! pipeline — register scoreboard, multi-cycle multiply/divide, L1
+//! instruction/data caches with seeded random replacement, taken-branch
+//! flush penalty, and RoCC dispatch/response timing — that splits every
+//! run's cycles into a software part and a hardware (accelerator) part,
+//! exactly the decomposition reported in the paper's Table IV. Plugged into
+//! the shared [`riscv_sim::Machine`] it is the simulator [`RocketSim`];
+//! stepping, running, snapshots and coprocessor attach are the machine's.
 //!
 //! # Example
 //!
@@ -28,6 +30,7 @@
 //! sim.cpu.set_pc(0x1000);
 //! let report = sim.run(100)?;
 //! assert!(report.stats.cycles >= report.stats.instret);
+//! assert_eq!(report.stats, sim.stats());
 //! # Ok(())
 //! # }
 //! ```
@@ -38,5 +41,5 @@
 mod cache;
 mod core;
 
-pub use crate::core::{RocketSim, RocketSnapshot, RunReport, RunStats, TimingConfig};
-pub use cache::{Cache, CacheConfig, CacheSnapshot, CacheStats};
+pub use crate::core::{RocketSim, RocketTiming, RunStats, TimingConfig};
+pub use cache::{Cache, CacheConfig, CacheStats};

@@ -3,10 +3,11 @@
 
 use riscv_asm::{assemble, STACK_TOP};
 use riscv_isa::Reg;
+use riscv_sim::RunReport;
 use rocc::DecimalAccelerator;
-use rocket_sim::{RocketSim, RunReport, TimingConfig};
+use rocket_sim::{RocketSim, RunStats, TimingConfig};
 
-fn run(source: &str) -> RunReport {
+fn run(source: &str) -> RunReport<RunStats> {
     let program = assemble(source).unwrap_or_else(|e| panic!("asm: {e}"));
     let mut sim = RocketSim::new(TimingConfig::default());
     sim.attach_coprocessor(Box::new(DecimalAccelerator::new()));

@@ -3,7 +3,7 @@
 //! cycles nondeterministically"), but averaging over many samples gives
 //! statistically meaningful results.
 
-use decimalarith::codesign::framework::{build_guest, run_rocket};
+use decimalarith::codesign::framework::{build_guest, try_run_rocket};
 use decimalarith::codesign::kernels::KernelKind;
 use decimalarith::rocket_sim::TimingConfig;
 use decimalarith::testgen::{generate, TestConfig};
@@ -22,8 +22,8 @@ fn same_seed_replays_exactly() {
         ..TestConfig::default()
     });
     let guest = build_guest(KernelKind::Method1, &vectors, 1).unwrap();
-    let a = run_rocket(&guest, timing(42));
-    let b = run_rocket(&guest, timing(42));
+    let a = try_run_rocket(&guest, timing(42)).expect("rocket run");
+    let b = try_run_rocket(&guest, timing(42)).expect("rocket run");
     assert_eq!(a.stats.cycles, b.stats.cycles);
     assert_eq!(a.results, b.results);
 }
@@ -35,7 +35,9 @@ fn different_seeds_change_cycles_but_not_results() {
         ..TestConfig::default()
     });
     let guest = build_guest(KernelKind::Software, &vectors, 1).unwrap();
-    let runs: Vec<_> = (0..4u64).map(|s| run_rocket(&guest, timing(s))).collect();
+    let runs: Vec<_> = (0..4u64)
+        .map(|s| try_run_rocket(&guest, timing(s)).expect("rocket run"))
+        .collect();
     // Results are architectural: identical across seeds.
     for r in &runs[1..] {
         assert_eq!(r.results, runs[0].results);
@@ -61,7 +63,11 @@ fn averages_are_statistically_stable_across_seeds() {
     });
     let guest = build_guest(KernelKind::Method1, &vectors, 1).unwrap();
     let averages: Vec<f64> = (0..5u64)
-        .map(|s| run_rocket(&guest, timing(s)).avg_total_cycles)
+        .map(|s| {
+            try_run_rocket(&guest, timing(s))
+                .expect("rocket run")
+                .avg_total_cycles
+        })
         .collect();
     let mean = averages.iter().sum::<f64>() / averages.len() as f64;
     for avg in &averages {

@@ -3,7 +3,7 @@
 
 use decimalarith::atomic_sim::AtomicConfig;
 use decimalarith::codesign::framework::{
-    build_guest, run_atomic, run_functional, run_rocket, verify_results,
+    build_guest, try_run_atomic, try_run_functional, try_run_rocket, verify_results,
 };
 use decimalarith::codesign::kernels::KernelKind;
 use decimalarith::rocket_sim::TimingConfig;
@@ -21,9 +21,9 @@ fn vectors(count: usize, seed: u64) -> Vec<decimalarith::testgen::TestVector> {
 fn all_platforms_agree_on_results() {
     let vectors = vectors(60, 1);
     let guest = build_guest(KernelKind::Method1, &vectors, 1).unwrap();
-    let functional = run_functional(&guest);
-    let rocket = run_rocket(&guest, TimingConfig::default());
-    let atomic = run_atomic(&guest, AtomicConfig::default());
+    let functional = try_run_functional(&guest).expect("functional run");
+    let rocket = try_run_rocket(&guest, TimingConfig::default()).expect("rocket run");
+    let atomic = try_run_atomic(&guest, AtomicConfig::default()).expect("atomic run");
     assert_eq!(functional.results, rocket.results);
     assert_eq!(functional.results, atomic.results);
     assert!(verify_results(&functional.results, &vectors).is_empty());
@@ -35,7 +35,9 @@ fn method1_beats_software_and_dummy_lands_between() {
     let timing = TimingConfig::default();
     let cycles = |kind: KernelKind| {
         let guest = build_guest(kind, &vectors, 1).unwrap();
-        run_rocket(&guest, timing).avg_total_cycles
+        try_run_rocket(&guest, timing)
+            .expect("rocket run")
+            .avg_total_cycles
     };
     let software = cycles(KernelKind::Software);
     let method1 = cycles(KernelKind::Method1);
@@ -61,7 +63,7 @@ fn method1_beats_software_and_dummy_lands_between() {
 fn hw_part_is_a_small_fraction_of_method1() {
     let vectors = vectors(100, 3);
     let guest = build_guest(KernelKind::Method1, &vectors, 1).unwrap();
-    let eval = run_rocket(&guest, TimingConfig::default());
+    let eval = try_run_rocket(&guest, TimingConfig::default()).expect("rocket run");
     let share = eval.avg_hw_cycles / eval.avg_total_cycles;
     // Paper Table IV: 188 of 1201 cycles = 15.7%.
     assert!(
@@ -76,7 +78,7 @@ fn deeper_offload_methods_are_faster() {
     let timing = TimingConfig::default();
     let cycles = |kind: KernelKind| {
         let guest = build_guest(kind, &vectors, 1).unwrap();
-        let eval = run_rocket(&guest, timing);
+        let eval = try_run_rocket(&guest, timing).expect("rocket run");
         assert!(verify_results(&eval.results, &vectors).is_empty(), "{kind}");
         eval.avg_total_cycles
     };
@@ -93,7 +95,7 @@ fn repetitions_scale_the_measurement_region() {
     let timing = TimingConfig::default();
     let run = |reps: u32| {
         let guest = build_guest(KernelKind::Method1, &vectors, reps).unwrap();
-        run_rocket(&guest, timing)
+        try_run_rocket(&guest, timing).expect("rocket run")
     };
     let once = run(1);
     let thrice = run(3);
@@ -112,8 +114,10 @@ fn atomic_and_rocket_rank_configurations_the_same_way() {
     let vectors = vectors(100, 6);
     let rank = |kind: KernelKind| {
         let guest = build_guest(kind, &vectors, 1).unwrap();
-        let rocket = run_rocket(&guest, TimingConfig::default()).avg_total_cycles;
-        let atomic = run_atomic(
+        let rocket = try_run_rocket(&guest, TimingConfig::default())
+            .expect("rocket run")
+            .avg_total_cycles;
+        let atomic = try_run_atomic(
             &guest,
             AtomicConfig {
                 mul_cycles: 3,
@@ -121,6 +125,7 @@ fn atomic_and_rocket_rank_configurations_the_same_way() {
                 ..AtomicConfig::default()
             },
         )
+        .expect("atomic run")
         .simulated_seconds;
         (rocket, atomic)
     };
@@ -151,7 +156,8 @@ fn dummy_functions_flatten_input_dependence() {
             },
         )
         .unwrap();
-        let breakdown = run_rocket_per_class(&guest, &vectors, TimingConfig::default());
+        let breakdown =
+            run_rocket_per_class(&guest, &vectors, TimingConfig::default()).expect("per-class run");
         let max = breakdown.rows.iter().map(|r| r.1).fold(0.0f64, f64::max);
         let min = breakdown.rows.iter().map(|r| r.1).fold(f64::MAX, f64::min);
         max / min

@@ -3,7 +3,7 @@
 
 use decimalarith::riscv_asm::assemble;
 use decimalarith::riscv_isa::Reg;
-use decimalarith::riscv_sim::{Cpu, CpuError};
+use decimalarith::riscv_sim::{Coprocessor, Cpu, CpuError, Machine};
 use decimalarith::rocc::DecimalAccelerator;
 
 fn run_with_accel(source: &str) -> Result<i64, CpuError> {
@@ -126,15 +126,12 @@ fn assembler_reports_precise_errors() {
 
 /// Loads `source` into a fresh core with the given coprocessor attached,
 /// ready for a lockstep run.
-fn cpu_with(
-    source: &str,
-    coproc: Box<dyn decimalarith::riscv_sim::Coprocessor>,
-) -> decimalarith::riscv_sim::Cpu {
+fn machine_with(source: &str, coproc: Box<dyn Coprocessor>) -> Machine<()> {
     let program = assemble(source).expect("test program assembles");
-    let mut cpu = Cpu::new();
-    cpu.attach_coprocessor(coproc);
-    decimalarith::lockstep::load_program(&mut cpu, &program);
-    cpu
+    let mut sim = Machine::<()>::new(());
+    sim.attach_coprocessor(coproc);
+    decimalarith::lockstep::load_program(&mut sim.cpu, &program);
+    sim
 }
 
 #[test]
@@ -156,8 +153,8 @@ fn lockstep_catches_a_wrong_digit_accelerator_at_the_custom0_pc() {
             li a7, 93
             ecall
     ";
-    let mut good = cpu_with(source, Box::new(DecimalAccelerator::new()));
-    let mut bad = cpu_with(
+    let mut good = machine_with(source, Box::new(DecimalAccelerator::new()));
+    let mut bad = machine_with(
         source,
         Box::new(WrongDigitAccelerator::new(DecimalFunct::DecAdd)),
     );
@@ -198,8 +195,8 @@ fn lockstep_catches_a_stuck_interface_fsm_at_the_first_wedged_command() {
             li a7, 93
             ecall
     ";
-    let mut good = cpu_with(source, Box::new(DecimalAccelerator::new()));
-    let mut bad = cpu_with(source, Box::new(StuckFsmAccelerator::new(1)));
+    let mut good = machine_with(source, Box::new(DecimalAccelerator::new()));
+    let mut bad = machine_with(source, Box::new(StuckFsmAccelerator::new(1)));
     let outcome = run_lockstep(&mut good, &mut bad, &LockstepOptions::default());
     let divergence = outcome.divergence().expect("stuck FSM must be caught");
     assert_eq!(divergence.pc, TEXT_BASE + 4 * 4, "{divergence}");
