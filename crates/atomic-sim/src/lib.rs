@@ -111,10 +111,12 @@ impl TimingModel for AtomicTiming {
         }
     }
 
+    #[inline]
     fn cycle(&self) -> Option<u64> {
         Some(self.stats.cycles)
     }
 
+    #[inline]
     fn charge(&mut self, event: &Event) -> Result<(), CpuError> {
         self.stats.cycles += 1;
         let retired = match event {

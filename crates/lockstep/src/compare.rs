@@ -295,7 +295,7 @@ fn divergence_pc(a: &StepOutcome, b: &StepOutcome, fallback: u64) -> u64 {
 /// loaded into them, comparing canonical retirement streams step by step.
 ///
 /// Both simulators must have been loaded with the same program (see
-/// `guest::load_program`). A fault on both sides with the same error is
+/// [`crate::load_program`]). A fault on both sides with the same error is
 /// architectural agreement; anything asymmetric is a divergence.
 pub fn run_lockstep(
     a: &mut dyn LockstepSim,

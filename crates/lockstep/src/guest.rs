@@ -2,14 +2,14 @@
 //! assembled programs (the fuzzer's case) and over the evaluation
 //! framework's guest programs (the conformance case).
 
-use atomic_sim::{AtomicConfig, AtomicSim};
+use atomic_sim::{AtomicConfig, AtomicSim, AtomicTiming};
 use codesign::framework::GuestProgram;
 pub use codesign::framework::{guest_budget, load_program};
 use codesign::kernels::KernelKind;
 use riscv_asm::Program;
-use riscv_sim::Machine;
+use riscv_sim::{Machine, TimingModel};
 use rocc::DecimalAccelerator;
-use rocket_sim::{RocketSim, TimingConfig};
+use rocket_sim::{RocketSim, RocketTiming, TimingConfig};
 use testgen::TestVector;
 
 use crate::compare::{run_lockstep, LockstepOptions, LockstepOutcome, LockstepSim};
@@ -33,9 +33,9 @@ impl SimKind {
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
-            SimKind::Functional => "functional",
-            SimKind::Rocket => "rocket",
-            SimKind::Atomic => "atomic",
+            SimKind::Functional => <()>::LABEL,
+            SimKind::Rocket => RocketTiming::LABEL,
+            SimKind::Atomic => AtomicTiming::LABEL,
         }
     }
 

@@ -228,3 +228,62 @@ impl<T: TimingModel> Machine<T> {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use riscv_isa::instr::OpImmOp;
+    use riscv_isa::{Instr, Reg};
+
+    /// `addi a0, zero, 5; nop; addi a7, zero, 93; ecall` at 0x1000.
+    fn loaded() -> Machine<()> {
+        let prog = [
+            Instr::OpImm {
+                op: OpImmOp::Addi,
+                rd: Reg::A0,
+                rs1: Reg::ZERO,
+                imm: 5,
+            },
+            Instr::NOP,
+            Instr::OpImm {
+                op: OpImmOp::Addi,
+                rd: Reg::A7,
+                rs1: Reg::ZERO,
+                imm: 93,
+            },
+            Instr::Ecall,
+        ];
+        let mut sim = Machine::<()>::default();
+        for (i, instr) in prog.iter().enumerate() {
+            sim.cpu
+                .memory
+                .write_u32(0x1000 + 4 * i as u64, instr.encode().unwrap())
+                .unwrap();
+        }
+        sim.cpu.set_pc(0x1000);
+        sim
+    }
+
+    #[test]
+    fn unit_model_keeps_the_cores_own_cycle_count() {
+        let mut sim = loaded();
+        let report = sim.run(10).unwrap();
+        assert_eq!(report.exit_code, 5);
+        assert_eq!((sim.cpu.cycle, sim.cpu.instret), (4, 4));
+    }
+
+    #[test]
+    fn snapshot_restores_into_a_fresh_machine() {
+        let mut first = loaded();
+        first.step().unwrap();
+        let bytes = first.snapshot();
+        let mut second = Machine::<()>::default();
+        second.restore(&bytes).unwrap();
+        assert_eq!(second.snapshot(), bytes);
+        assert_eq!(second.run(10).unwrap().exit_code, 5);
+        assert_eq!(
+            second.restore(&bytes[..bytes.len() - 1]),
+            Err(SnapshotError::Truncated)
+        );
+    }
+}

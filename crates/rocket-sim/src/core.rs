@@ -201,10 +201,12 @@ impl TimingModel for RocketTiming {
         }
     }
 
+    #[inline]
     fn cycle(&self) -> Option<u64> {
         Some(self.stats.cycles)
     }
 
+    #[inline]
     fn charge(&mut self, event: &Event) -> Result<(), CpuError> {
         match event {
             Event::Retired(retired) => {
