@@ -1,9 +1,11 @@
 //! Lockstep differential verification for the decimal co-design framework.
 //!
-//! The paper's methodology trusts three independently-written simulators —
-//! the functional (Spike-role) core, the cycle-accurate Rocket-like core,
-//! and the Gem5-`AtomicSimpleCPU`-like model — to agree on the
-//! architectural behaviour of every guest binary. This crate *checks* that
+//! The paper's methodology trusts three simulators — the functional
+//! (Spike-role) core, the cycle-accurate Rocket-like core, and the
+//! Gem5-`AtomicSimpleCPU`-like model — to agree on the architectural
+//! behaviour of every guest binary. Here all three are a
+//! [`riscv_sim::Machine`] with a different timing model, so the agreement
+//! says no timing model perturbs architecture. This crate *checks* that
 //! trust, the way Spike-based co-simulation checks an RTL core:
 //!
 //! * every simulator emits a **canonical retirement stream**
