@@ -28,6 +28,19 @@ echo "== static analysis: rvlint over every kernel guest =="
 # broken-fixture suite (tests/rvlint_fixtures.rs) already ran in tier-1.
 cargo run --release -p decimal-bench --bin rvlint -- --seed 2019
 
+echo "== paper tables at full scale match the committed golden output =="
+# At the paper's 8,000 samples a guest maps about 51 pages, so only this
+# scale exercises page-table growth and last-hit cache eviction in the
+# simulators' memory. The 64-sample golden counters test maps 3-5.
+GOLDEN_DIR="$(mktemp -d)"
+for table in table4 table6 pareto; do
+    target/release/tables "$table" --samples 8000 --seed 2019 \
+        > "$GOLDEN_DIR/$table.txt" 2>/dev/null
+    diff tests/golden/"$table".txt "$GOLDEN_DIR/$table.txt"
+done
+rm -rf "$GOLDEN_DIR"
+echo "table4, table6 and pareto are byte-identical to tests/golden/"
+
 echo "== differential verification (bounded) =="
 # Conformance on a CI-sized database slice, a 200-program fuzz run, and
 # the RoCC command differential — all on the paper's seed. The full
