@@ -427,6 +427,9 @@ impl Cpu {
 
     /// Executes one instruction.
     ///
+    /// The instruction comes from [`Memory::fetch`], which decodes a word
+    /// once and reuses the decode until something writes into its page.
+    ///
     /// If the guest has armed M-mode trap delivery (nonzero `mtvec`),
     /// architectural faults — illegal instructions, access faults,
     /// accelerator timeouts — are delivered as [`Event::Trapped`] instead
@@ -469,14 +472,7 @@ impl Cpu {
 
     fn step_inner(&mut self) -> Result<Event, CpuError> {
         let pc = self.pc;
-        if !pc.is_multiple_of(4) {
-            return Err(CpuError::MisalignedPc(pc));
-        }
-        let word = self
-            .memory
-            .read_u32(pc)
-            .map_err(|_| CpuError::FetchFault(pc))?;
-        let instr = Instr::decode(word).map_err(CpuError::Decode)?;
+        let instr = self.memory.fetch(pc)?;
         let mut next_pc = pc.wrapping_add(4);
         let mut mem_access = None;
         let mut rocc = None;
