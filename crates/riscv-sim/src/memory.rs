@@ -20,7 +20,7 @@ const NO_PAGE: u64 = u64::MAX;
 
 /// One mapped page and, once something was fetched from it, its decoded
 /// instruction words.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 struct Page {
     bytes: Box<[u8; PAGE_BYTES]>,
     /// `Instr::decode` of each word, filled on first fetch; `None` until
@@ -61,21 +61,13 @@ impl Page {
 /// assert_eq!(mem.read_u64(0x8000_0000).unwrap(), 0xDEAD_BEEF_0BAD_F00D);
 /// assert_eq!(mem.read_u32(0x8000_0004).unwrap(), 0xDEAD_BEEF);
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct Memory {
     pages: Vec<Page>,
     /// Page number → index into `pages`, in address order.
     index: BTreeMap<u64, usize>,
     /// `(page number, index)` of the pages hit last, most recent first.
     recent: [Cell<(u64, usize)>; RECENT],
-}
-
-impl std::fmt::Debug for Memory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Memory")
-            .field("mapped_pages", &self.pages.len())
-            .finish_non_exhaustive()
-    }
 }
 
 impl Default for Memory {
