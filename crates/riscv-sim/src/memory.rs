@@ -260,7 +260,8 @@ impl Memory {
     /// Returns [`CpuError::UnmappedAddress`] with the first unmapped byte's
     /// address.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Result<Vec<u8>, CpuError> {
-        let mut out = Vec::with_capacity(len);
+        // `len` can come from the guest, so grow with what is mapped.
+        let mut out = Vec::new();
         let mut addr = addr;
         while out.len() < len {
             let offset = (addr & (PAGE_SIZE - 1)) as usize;
@@ -371,6 +372,16 @@ mod tests {
         m.write_u64(addr, 0x0102_0304_0506_0708).unwrap();
         assert_eq!(m.read_u64(addr).unwrap(), 0x0102_0304_0506_0708);
         assert_eq!(m.mapped_pages(), 2);
+    }
+
+    #[test]
+    fn huge_read_fails_at_the_first_unmapped_byte() {
+        let mut m = Memory::new();
+        m.load_bytes(0x1FF0, &[7; 32]).unwrap();
+        assert_eq!(
+            m.read_bytes(0x1FF8, usize::MAX),
+            Err(CpuError::UnmappedAddress(0x3000))
+        );
     }
 
     #[test]
