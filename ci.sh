@@ -21,6 +21,21 @@ echo "== frozen benchmark builds against the current crates =="
 # changed dependency edge would rewrite perfbench/Cargo.lock.
 cargo build -q --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+echo "== frozen benchmark runs with every check passing =="
+# A one-second run of two workloads. The benchmark checks oracle results,
+# instret agreement across simulators, lockstep and fuzz agreement, zero
+# silent corruption for Method1Ft and the Table IV/VI cross-check; its last
+# line must report them all passed. Wall time is not gated.
+for workload in paper_tables churn; do
+    result="$(cargo run -q --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 2019 --seconds 1 --trace 0 | tail -n 1)"
+    if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0,' <<<"$result"; then
+        echo "perfbench $workload: checks failed: ${result:0:200}" >&2
+        exit 1
+    fi
+    echo "perfbench $workload: correct, 0 failed checks"
+done
+
 echo "== static analysis: rvlint over every kernel guest =="
 # Lints every co-design kernel guest (CFG/dataflow + RoCC-protocol
 # typestate + BCD operand checks) across generated vector databases of

@@ -444,32 +444,42 @@ impl Cpu {
     /// instructions, unknown syscalls, `ebreak`, or coprocessor faults,
     /// when trap delivery is unarmed or the fault is host-level
     /// (unknown syscalls never trap).
+    #[inline]
     pub fn step(&mut self) -> Result<Event, CpuError> {
         let pc = self.pc;
         match self.step_inner() {
             Ok(event) => Ok(event),
-            Err(error) => {
-                let mtvec = self.scratch_csrs.get(&csr::MTVEC).copied().unwrap_or(0);
-                let Some((cause, tval)) = trap_cause(&error) else {
-                    return Err(error);
-                };
-                if mtvec == 0 {
-                    return Err(error);
-                }
-                // Precise trap: step_inner leaves no partial architectural
-                // state on any error path, so mepc points at an instruction
-                // that can be re-executed or skipped by the handler.
-                self.scratch_csrs.insert(csr::MEPC, pc);
-                self.scratch_csrs.insert(csr::MCAUSE, cause);
-                self.scratch_csrs.insert(csr::MTVAL, tval);
-                self.pc = mtvec & !0x3;
-                self.cycle += 1;
-                self.trap_log.push(TrapRecord { cause, epc: pc, tval });
-                Ok(Event::Trapped { cause, epc: pc })
-            }
+            Err(error) => self.deliver_trap(pc, error),
         }
     }
 
+    /// Turns a fault at `pc` into a guest trap if trap delivery is armed,
+    /// or hands it back to the host.
+    #[cold]
+    #[inline(never)]
+    fn deliver_trap(&mut self, pc: u64, error: CpuError) -> Result<Event, CpuError> {
+        let mtvec = self.scratch_csrs.get(&csr::MTVEC).copied().unwrap_or(0);
+        let Some((cause, tval)) = trap_cause(&error) else {
+            return Err(error);
+        };
+        if mtvec == 0 {
+            return Err(error);
+        }
+        // Precise trap: step_inner leaves no partial architectural state on
+        // any error path, so mepc points at an instruction that can be
+        // re-executed or skipped by the handler.
+        self.scratch_csrs.insert(csr::MEPC, pc);
+        self.scratch_csrs.insert(csr::MCAUSE, cause);
+        self.scratch_csrs.insert(csr::MTVAL, tval);
+        self.pc = mtvec & !0x3;
+        self.cycle += 1;
+        self.trap_log.push(TrapRecord { cause, epc: pc, tval });
+        Ok(Event::Trapped { cause, epc: pc })
+    }
+
+    // Inlined into `step`, and with it into each caller's loop, so the
+    // returned event stays in registers instead of going through memory.
+    #[inline(always)]
     fn step_inner(&mut self) -> Result<Event, CpuError> {
         let pc = self.pc;
         let instr = self.memory.fetch(pc)?;
@@ -730,13 +740,24 @@ impl Cpu {
             mem_access,
             rocc,
         };
+        if self.retire_observer.is_some() {
+            self.notify_retire_observer(&retired);
+        }
+        Ok(Event::Retired(retired))
+    }
+
+    /// Captures the canonical record of `retired` and hands it to the
+    /// observer; kept out of line so a run without an observer pays one
+    /// test per step.
+    #[cold]
+    #[inline(never)]
+    fn notify_retire_observer(&mut self, retired: &Retired) {
         // Take the observer out so it can borrow the post-step state; it
         // cannot reach the Cpu, so it cannot install a replacement meanwhile.
         if let Some(mut observer) = self.retire_observer.take() {
-            observer(&RetirementRecord::capture(self, &retired));
+            observer(&RetirementRecord::capture(self, retired));
             self.retire_observer = Some(observer);
         }
-        Ok(Event::Retired(retired))
     }
 
     fn read_csr(&self, number: u16) -> Result<u64, CpuError> {

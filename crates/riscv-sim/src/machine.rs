@@ -166,6 +166,7 @@ impl<T: TimingModel> Machine<T> {
     ///
     /// Propagates core faults (see [`Cpu::step`]) and the model's charge
     /// errors.
+    #[inline]
     pub fn step(&mut self) -> Result<Event, CpuError> {
         if let Some(cycle) = self.timing.cycle() {
             self.cpu.cycle = cycle;

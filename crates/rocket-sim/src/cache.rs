@@ -71,14 +71,25 @@ impl CacheStats {
     }
 }
 
+/// Tag value of an invalid way, and line number of no access. Lines are at
+/// least two bytes, so line numbers and tags (addresses shifted right by
+/// at least one bit) never reach it.
+const INVALID: u64 = u64::MAX;
+
 /// A tag-only set-associative cache with random replacement.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
     line_shift: u32,
+    /// `line_shift` plus the set-index width: `addr >> tag_shift` is the tag.
+    tag_shift: u32,
     set_mask: u64,
-    /// `tags[set * ways + way]`.
-    tags: Vec<Option<u64>>,
+    /// `tags[set * ways + way]`, [`INVALID`] for an empty way.
+    tags: Vec<u64>,
+    /// Line number of the previous access ([`INVALID`] if none since the
+    /// last reset or load). That line is resident: the access either hit
+    /// it or filled it, and only a miss evicts. Not part of snapshots.
+    last_line: u64,
     rng: u64,
     stats: CacheStats,
 }
@@ -88,17 +99,23 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is not a power-of-two split.
+    /// Panics if the geometry is not a power-of-two split, or lines are
+    /// one byte.
     #[must_use]
     pub fn new(config: CacheConfig, seed: u64) -> Self {
         let sets = config.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!(config.line_bytes.is_power_of_two(), "line size must be a power of two");
+        // Keeps every line number and tag below `INVALID`.
+        assert!(config.line_bytes > 1, "a line must hold at least two bytes");
+        let line_shift = config.line_bytes.trailing_zeros();
         Cache {
             config,
-            line_shift: config.line_bytes.trailing_zeros(),
+            line_shift,
+            tag_shift: line_shift + sets.trailing_zeros(),
             set_mask: sets - 1,
-            tags: vec![None; (sets * config.ways) as usize],
+            tags: vec![INVALID; (sets * config.ways) as usize],
+            last_line: INVALID,
             rng: seed | 1, // xorshift must not start at zero
             stats: CacheStats::default(),
         }
@@ -117,24 +134,34 @@ impl Cache {
 
     /// Performs one access; returns true on hit. Misses fill the line
     /// (allocate-on-miss for both reads and writes).
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
-        let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
+        if line == self.last_line {
+            self.stats.hits += 1;
+            return true;
+        }
+        self.last_line = line;
+        self.access_set(addr, line)
+    }
+
+    /// Looks `addr` up in its set, filling it on a miss.
+    fn access_set(&mut self, addr: u64, line: u64) -> bool {
+        let tag = addr >> self.tag_shift;
         let ways = self.config.ways as usize;
-        let base = set * ways;
-        for way in 0..ways {
-            if self.tags[base + way] == Some(tag) {
-                self.stats.hits += 1;
-                return true;
-            }
+        let base = (line & self.set_mask) as usize * ways;
+        let set = &self.tags[base..base + ways];
+        if set.contains(&tag) {
+            self.stats.hits += 1;
+            return true;
         }
         self.stats.misses += 1;
         // Prefer an invalid way; otherwise evict a random victim.
-        let victim = (0..ways)
-            .find(|&w| self.tags[base + w].is_none())
-            .unwrap_or_else(|| (self.next_random() % ways as u64) as usize);
-        self.tags[base + victim] = Some(tag);
+        let victim = match set.iter().position(|&t| t == INVALID) {
+            Some(way) => way,
+            None => (self.next_random() % ways as u64) as usize,
+        };
+        self.tags[base + victim] = tag;
         false
     }
 
@@ -146,7 +173,8 @@ impl Cache {
 
     /// Invalidates all lines and clears statistics (seed preserved).
     pub fn reset(&mut self) {
-        self.tags.fill(None);
+        self.tags.fill(INVALID);
+        self.last_line = INVALID;
         self.stats = CacheStats::default();
     }
 
@@ -156,13 +184,10 @@ impl Cache {
     /// bit-for-bit. The geometry is not saved.
     pub fn save(&self, w: &mut ByteWriter) {
         w.u64(self.tags.len() as u64);
-        for tag in &self.tags {
-            match tag {
-                None => w.bool(false),
-                Some(tag) => {
-                    w.bool(true);
-                    w.u64(*tag);
-                }
+        for &tag in &self.tags {
+            w.bool(tag != INVALID);
+            if tag != INVALID {
+                w.u64(tag);
             }
         }
         w.u64(self.rng);
@@ -175,8 +200,9 @@ impl Cache {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError`] on truncation or a tag array that does not
-    /// fit this cache's geometry.
+    /// Returns [`SnapshotError`] on truncation, a tag array that does not
+    /// fit this cache's geometry, or a valid way holding the all-ones tag
+    /// (no address produces it).
     pub fn load(&mut self, r: &mut ByteReader<'_>) -> Result<(), SnapshotError> {
         if r.u64()? != self.tags.len() as u64 {
             return Err(SnapshotError::Malformed(
@@ -184,8 +210,15 @@ impl Cache {
             ));
         }
         for tag in &mut self.tags {
-            *tag = if r.bool()? { Some(r.u64()?) } else { None };
+            *tag = INVALID;
+            if r.bool()? {
+                *tag = r.u64()?;
+                if *tag == INVALID {
+                    return Err(SnapshotError::Malformed("cache tag out of range"));
+                }
+            }
         }
+        self.last_line = INVALID;
         self.rng = r.u64()?;
         self.stats = CacheStats {
             hits: r.u64()?,

@@ -1,6 +1,6 @@
 //! The cycle-accurate core model.
 
-use riscv_isa::instr::{Instr, OpOp};
+use riscv_isa::instr::{Instr, Op32Op, OpOp};
 use riscv_isa::Reg;
 use riscv_sim::snapshot::{ByteReader, ByteWriter};
 use riscv_sim::{CpuError, Event, Machine, Retired, SnapshotError, TimingModel};
@@ -104,81 +104,98 @@ struct Cost {
 }
 
 impl RocketTiming {
+    #[inline]
     fn charge_retired(&mut self, retired: &Retired) -> Result<Cost, CpuError> {
-        let cycle = self.stats.cycles;
-        let mut total: u64 = 1; // issue
-        let mut hw: u64 = 0;
-
-        // Operand stalls against the scoreboard.
-        let mut stall = 0;
-        for src in retired.instr.sources().into_iter().flatten() {
-            if src != Reg::ZERO {
-                stall = stall.max(self.ready_at[src.number() as usize].saturating_sub(cycle));
+        let config = &self.config;
+        let zero = Reg::ZERO;
+        // One match gives the instruction's timing shape: the registers it
+        // reads (`x0` fills an unused slot and never stalls, since
+        // `ready_at[0]` stays 0), the register a load or multiply latency
+        // applies to (`x0` if none), and the cycles a blocking unit adds
+        // after issue (the divider, or the RoCC handshake).
+        let (sources, result, blocking) = match retired.instr {
+            Instr::Jalr { rs1, .. }
+            | Instr::OpImm { rs1, .. }
+            | Instr::OpImm32 { rs1, .. }
+            | Instr::Csr { rs1, .. } => ([rs1, zero], (zero, 0), 0),
+            Instr::Load { rd, rs1, .. } => ([rs1, zero], (rd, config.load_latency), 0),
+            Instr::Branch { rs1, rs2, .. } | Instr::Store { rs2, rs1, .. } => {
+                ([rs1, rs2], (zero, 0), 0)
             }
-        }
-        total += stall;
+            Instr::Op { op, rd, rs1, rs2 } => match op {
+                OpOp::Mul | OpOp::Mulh | OpOp::Mulhsu | OpOp::Mulhu => {
+                    ([rs1, rs2], (rd, config.mul_latency), 0)
+                }
+                // Iterative, blocking divider.
+                OpOp::Div | OpOp::Divu | OpOp::Rem | OpOp::Remu => {
+                    ([rs1, rs2], (zero, 0), u64::from(config.div_latency) - 1)
+                }
+                _ => ([rs1, rs2], (zero, 0), 0),
+            },
+            Instr::Op32 { op, rd, rs1, rs2 } => match op {
+                Op32Op::Mulw => ([rs1, rs2], (rd, config.mul_latency), 0),
+                Op32Op::Divw | Op32Op::Divuw | Op32Op::Remw | Op32Op::Remuw => {
+                    ([rs1, rs2], (zero, 0), u64::from(config.div_latency) - 1)
+                }
+                _ => ([rs1, rs2], (zero, 0), 0),
+            },
+            Instr::Custom(instr) => {
+                let resp = retired
+                    .rocc
+                    .ok_or(CpuError::RoccProtocol("retired custom carried no response"))?;
+                self.stats.rocc_instructions += 1;
+                // Execution-unit busy time plus RoCC memory-port occupancy,
+                // then the response synchronization if the core waits on rd.
+                let mut rocc_cost = u64::from(resp.busy_cycles) + u64::from(resp.mem_accesses);
+                if instr.xd {
+                    rocc_cost += u64::from(config.rocc_resp_latency);
+                }
+                let read = |enabled: bool, reg: Reg| if enabled { reg } else { zero };
+                (
+                    [read(instr.xs1, instr.rs1), read(instr.xs2, instr.rs2)],
+                    (zero, 0),
+                    rocc_cost,
+                )
+            }
+            _ => ([zero, zero], (zero, 0), 0),
+        };
+
+        let cycle = self.stats.cycles;
+        // Issue, plus operand stalls against the scoreboard.
+        let [rs1, rs2] = sources.map(|src| self.ready_at[src.number() as usize]);
+        let stall = rs1.max(rs2).saturating_sub(cycle);
         self.stats.stall_cycles += stall;
+        let mut total = 1 + stall;
 
         // Fetch.
         if !self.icache.access(retired.pc) {
-            total += u64::from(self.config.miss_penalty);
+            total += u64::from(config.miss_penalty);
         }
 
         // Data access.
         if let Some(access) = retired.mem_access {
-            let hit = self.dcache.access(access.addr);
-            if !hit {
-                total += u64::from(self.config.miss_penalty);
-            }
-            if !access.store {
-                if let Some(rd) = retired.instr.dest() {
-                    self.ready_at[rd.number() as usize] =
-                        cycle + total + u64::from(self.config.load_latency) - 1;
-                }
+            if !self.dcache.access(access.addr) {
+                total += u64::from(config.miss_penalty);
             }
         }
 
-        match retired.instr {
-            Instr::Op { op, rd, .. } if op.is_muldiv() => {
-                if matches!(op, OpOp::Div | OpOp::Divu | OpOp::Rem | OpOp::Remu) {
-                    // Iterative, blocking divider.
-                    total += u64::from(self.config.div_latency) - 1;
-                } else if rd != Reg::ZERO {
-                    self.ready_at[rd.number() as usize] =
-                        cycle + total + u64::from(self.config.mul_latency) - 1;
-                }
-            }
-            Instr::Op32 { op, rd, .. } if op.is_muldiv() => {
-                if op == riscv_isa::instr::Op32Op::Mulw {
-                    if rd != Reg::ZERO {
-                        self.ready_at[rd.number() as usize] =
-                            cycle + total + u64::from(self.config.mul_latency) - 1;
-                    }
-                } else {
-                    total += u64::from(self.config.div_latency) - 1;
-                }
-            }
-            Instr::Custom(instr) => {
-                self.stats.rocc_instructions += 1;
-                let resp = retired
-                    .rocc
-                    .ok_or(CpuError::RoccProtocol("retired custom carried no response"))?;
-                let mut rocc_cost = u64::from(resp.busy_cycles);
-                rocc_cost += u64::from(resp.mem_accesses); // RoCC mem port occupancy
-                if instr.xd {
-                    rocc_cost += u64::from(self.config.rocc_resp_latency);
-                }
-                total += rocc_cost;
-                // The whole instruction — dispatch cycle, operand stalls and
-                // accelerator time — is the co-design's hardware share.
-                hw = total;
-            }
-            _ => {}
+        let (result_reg, latency) = result;
+        if result_reg != zero {
+            self.ready_at[result_reg.number() as usize] = cycle + total + u64::from(latency) - 1;
         }
+
+        total += blocking;
+        // The whole of a RoCC instruction — dispatch cycle, operand stalls
+        // and accelerator time — is the co-design's hardware share.
+        let hw = if matches!(retired.instr, Instr::Custom(_)) {
+            total
+        } else {
+            0
+        };
 
         // Taken control transfers flush the front end.
         if retired.redirected() {
-            total += u64::from(self.config.branch_penalty);
+            total += u64::from(config.branch_penalty);
         }
 
         Ok(Cost { total, hw })
@@ -262,6 +279,10 @@ impl TimingModel for RocketTiming {
     fn load(&mut self, r: &mut ByteReader<'_>) -> Result<(), SnapshotError> {
         for ready in &mut self.ready_at {
             *ready = r.u64()?;
+        }
+        if self.ready_at[0] != 0 {
+            // x0 never has a pending result; the charge relies on it.
+            return Err(SnapshotError::Malformed("x0 has a pending result"));
         }
         self.stats = RunStats {
             cycles: r.u64()?,
@@ -564,6 +585,19 @@ mod more_tests {
         assert_eq!(
             report.stats.sw_cycles + report.stats.hw_cycles,
             report.stats.cycles
+        );
+    }
+
+    #[test]
+    fn a_pending_x0_result_is_malformed() {
+        let timing = RocketTiming::new(TimingConfig::default());
+        let mut w = ByteWriter::new();
+        timing.save(&mut w);
+        let mut bytes = w.finish();
+        bytes[0] = 1; // ready_at[0], little-endian
+        assert_eq!(
+            timing.clone().load(&mut ByteReader::new(&bytes)),
+            Err(SnapshotError::Malformed("x0 has a pending result"))
         );
     }
 

@@ -119,3 +119,26 @@ fn hw_cycles_scale_with_rocc_count() {
     assert!(many.stats.hw_cycles > 20 * once.stats.hw_cycles);
     assert_eq!(many.stats.rocc_instructions, 32);
 }
+
+#[test]
+fn only_core_operands_wait_on_the_scoreboard() {
+    // A multiply result is pending in x5 when the RoCC command issues.
+    // With xs1 set, x5 is a core operand and the command stalls on it;
+    // without, x5 is an accelerator register address and nothing waits.
+    let stalls = |xs1: u8| {
+        run(&format!(
+            "
+            start:
+                mul t0, t1, t2
+                custom0 5, zero, x5, zero, 0, {xs1}, 0
+                li a0, 0
+                li a7, 93
+                ecall
+            "
+        ))
+        .stats
+        .stall_cycles
+    };
+    assert_eq!(stalls(0), 0);
+    assert!(stalls(1) > 0, "a core operand waits for the multiplier");
+}
