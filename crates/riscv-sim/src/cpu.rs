@@ -741,21 +741,22 @@ impl Cpu {
             rocc,
         };
         if self.retire_observer.is_some() {
-            self.notify_retire_observer(&retired);
+            self.notify_retire_observer(retired);
         }
         Ok(Event::Retired(retired))
     }
 
     /// Captures the canonical record of `retired` and hands it to the
     /// observer; kept out of line so a run without an observer pays one
-    /// test per step.
+    /// test per step. `retired` is taken by value: a reference would make
+    /// the step build the record in memory, observer or not.
     #[cold]
     #[inline(never)]
-    fn notify_retire_observer(&mut self, retired: &Retired) {
+    fn notify_retire_observer(&mut self, retired: Retired) {
         // Take the observer out so it can borrow the post-step state; it
         // cannot reach the Cpu, so it cannot install a replacement meanwhile.
         if let Some(mut observer) = self.retire_observer.take() {
-            observer(&RetirementRecord::capture(self, retired));
+            observer(&RetirementRecord::capture(self, &retired));
             self.retire_observer = Some(observer);
         }
     }
