@@ -66,7 +66,10 @@ pub struct Memory {
     pages: Vec<Page>,
     /// Page number → index into `pages`, in address order.
     index: BTreeMap<u64, usize>,
-    /// `(page number, index)` of the pages hit last, most recent first.
+    /// `(page number, index)` of the last pages the index was searched
+    /// for, newest first. An entry goes in only when a lookup misses all
+    /// of them, evicting the oldest; a hit does not move it (FIFO, not
+    /// LRU).
     recent: [Cell<(u64, usize)>; RECENT],
 }
 
