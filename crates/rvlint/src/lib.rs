@@ -25,6 +25,8 @@
 //! symbol+line location, and a path witness: a concrete control-flow path
 //! from an entry point that exhibits the violation.
 
+#![forbid(unsafe_code)]
+
 pub mod bcd;
 pub mod cfg;
 pub mod dataflow;
