@@ -111,33 +111,34 @@ impl RocketTiming {
         // One match gives the instruction's timing shape: the registers it
         // reads (`x0` fills an unused slot and never stalls, since
         // `ready_at[0]` stays 0), the register a load or multiply latency
-        // applies to (`x0` if none), and the cycles a blocking unit adds
-        // after issue (the divider, or the RoCC handshake).
-        let (sources, result, blocking) = match retired.instr {
+        // applies to (`x0` if none), the cycles a blocking unit adds after
+        // issue (the divider, or the RoCC handshake), and whether the
+        // instruction's cycles are the accelerator's.
+        let (sources, result, blocking, hardware) = match retired.instr {
             Instr::Jalr { rs1, .. }
             | Instr::OpImm { rs1, .. }
             | Instr::OpImm32 { rs1, .. }
-            | Instr::Csr { rs1, .. } => ([rs1, zero], (zero, 0), 0),
-            Instr::Load { rd, rs1, .. } => ([rs1, zero], (rd, config.load_latency), 0),
+            | Instr::Csr { rs1, .. } => ([rs1, zero], (zero, 0), 0, false),
+            Instr::Load { rd, rs1, .. } => ([rs1, zero], (rd, config.load_latency), 0, false),
             Instr::Branch { rs1, rs2, .. } | Instr::Store { rs2, rs1, .. } => {
-                ([rs1, rs2], (zero, 0), 0)
+                ([rs1, rs2], (zero, 0), 0, false)
             }
             Instr::Op { op, rd, rs1, rs2 } => match op {
                 OpOp::Mul | OpOp::Mulh | OpOp::Mulhsu | OpOp::Mulhu => {
-                    ([rs1, rs2], (rd, config.mul_latency), 0)
+                    ([rs1, rs2], (rd, config.mul_latency), 0, false)
                 }
                 // Iterative, blocking divider.
                 OpOp::Div | OpOp::Divu | OpOp::Rem | OpOp::Remu => {
-                    ([rs1, rs2], (zero, 0), u64::from(config.div_latency) - 1)
+                    ([rs1, rs2], (zero, 0), u64::from(config.div_latency) - 1, false)
                 }
-                _ => ([rs1, rs2], (zero, 0), 0),
+                _ => ([rs1, rs2], (zero, 0), 0, false),
             },
             Instr::Op32 { op, rd, rs1, rs2 } => match op {
-                Op32Op::Mulw => ([rs1, rs2], (rd, config.mul_latency), 0),
+                Op32Op::Mulw => ([rs1, rs2], (rd, config.mul_latency), 0, false),
                 Op32Op::Divw | Op32Op::Divuw | Op32Op::Remw | Op32Op::Remuw => {
-                    ([rs1, rs2], (zero, 0), u64::from(config.div_latency) - 1)
+                    ([rs1, rs2], (zero, 0), u64::from(config.div_latency) - 1, false)
                 }
-                _ => ([rs1, rs2], (zero, 0), 0),
+                _ => ([rs1, rs2], (zero, 0), 0, false),
             },
             Instr::Custom(instr) => {
                 let resp = retired
@@ -155,9 +156,10 @@ impl RocketTiming {
                     [read(instr.xs1, instr.rs1), read(instr.xs2, instr.rs2)],
                     (zero, 0),
                     rocc_cost,
+                    true,
                 )
             }
-            _ => ([zero, zero], (zero, 0), 0),
+            _ => ([zero, zero], (zero, 0), 0, false),
         };
 
         let cycle = self.stats.cycles;
@@ -187,11 +189,7 @@ impl RocketTiming {
         total += blocking;
         // The whole of a RoCC instruction — dispatch cycle, operand stalls
         // and accelerator time — is the co-design's hardware share.
-        let hw = if matches!(retired.instr, Instr::Custom(_)) {
-            total
-        } else {
-            0
-        };
+        let hw = if hardware { total } else { 0 };
 
         // Taken control transfers flush the front end.
         if retired.redirected() {
