@@ -36,6 +36,51 @@ for workload in paper_tables churn; do
     echo "perfbench $workload: correct, 0 failed checks"
 done
 
+echo "== benchmark record BENCH_e2e.json matches its schema =="
+# Every row has exactly the keys name, layer, unit, value (number),
+# samples (>= 1), git_rev and host ({nproc: number, rustc: string}); its
+# name is <workload>.<metric> with both taken from BENCHMARK.json (the
+# end_to_end metrics for layer "e2e", the per_layer metrics otherwise);
+# and its git_rev names a commit in this repository.
+bad="$(jq -r --slurpfile bench BENCHMARK.json '
+    ($bench[0].workloads | map(.name)) as $workloads
+    | ($bench[0].end_to_end | map(.name)) as $e2e
+    | ($bench[0].per_layer | map(.name)) as $per_layer
+    | if type != "array" or length == 0 then "BENCH_e2e.json: not a non-empty array"
+      else .[]
+      | (if type != "object" then "a row that is not an object"
+         elif keys != ["git_rev", "host", "layer", "name", "samples", "unit", "value"]
+             then "keys \(keys)"
+         elif ([.name, .layer, .unit, .git_rev] | map(type) | unique) != ["string"]
+             then "name, layer, unit and git_rev must be strings"
+         elif (.value | type) != "number" then "value is not a number"
+         elif (.samples | type) != "number" or .samples < 1 then "samples is not >= 1"
+         elif (.host | type) != "object" or (.host | keys) != ["nproc", "rustc"]
+             or (.host.nproc | type) != "number" or (.host.rustc | type) != "string"
+             then "host must be {nproc: number, rustc: string}"
+         elif (.name | contains(".") | not) then "name is not <workload>.<metric>"
+         elif (.name | sub("\\..*$"; "")) as $w | any($workloads[]; . == $w) | not
+             then "unknown workload"
+         elif (.name | sub("^[^.]*\\."; "")) as $m
+             | any((if .layer == "e2e" then $e2e else $per_layer end)[]; . == $m) | not
+             then "metric not in BENCHMARK.json for layer \(.layer)"
+         else empty end) as $why
+      | "\(.name? // "?"): \($why)"
+      end
+' BENCH_e2e.json)"
+if [ -n "$bad" ]; then
+    echo "BENCH_e2e.json rows that break the schema:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+for rev in $(jq -r '.[].git_rev' BENCH_e2e.json | sort -u); do
+    if ! git cat-file -e "$rev^{commit}" 2>/dev/null; then
+        echo "BENCH_e2e.json: git_rev $rev is not a commit in this repository" >&2
+        exit 1
+    fi
+done
+echo "BENCH_e2e.json: $(jq length BENCH_e2e.json) rows match the schema"
+
 echo "== static analysis: rvlint over every kernel guest =="
 # Lints every co-design kernel guest (CFG/dataflow + RoCC-protocol
 # typestate + BCD operand checks) across generated vector databases of

@@ -34,7 +34,8 @@ fn parse_args() -> Options {
                 options.samples = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--samples needs a number"));
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| usage("--samples needs a positive number"));
             }
             "--seed" => {
                 options.seed = args

@@ -457,12 +457,6 @@ pub fn software_add(x: Decimal64, y: Decimal64, status: &mut Status) -> Decimal6
     result
 }
 
-/// Method-1-style addition with the real BCD-CLA accelerator model.
-#[must_use]
-pub fn method1_add_accel(x: Decimal64, y: Decimal64, status: &mut Status) -> Decimal64 {
-    method1_add(x, y, &mut ClaBackend::new(), status)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

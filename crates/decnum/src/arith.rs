@@ -464,17 +464,6 @@ impl DecNumber {
         }
         result
     }
-
-    /// Fused multiply of sign/exponent only — exposed for the co-design
-    /// methods, which compute the "easy" parts in software: returns
-    /// `(result_sign, preliminary_exponent)` for `self × other`.
-    #[must_use]
-    pub fn mul_sign_exponent(&self, other: &DecNumber) -> (Sign, i32) {
-        (
-            self.sign.xor(other.sign),
-            self.exponent.saturating_add(other.exponent),
-        )
-    }
 }
 
 /// Long division of LSD-first digit vectors: returns `(quotient, remainder)`.

@@ -147,24 +147,47 @@ mod tests {
     #[test]
     fn mutation_self_check_reports_exact_pc() {
         // The single mutated retirement must be the reported divergence
-        // point — this is the checker checking itself.
-        let program = assemble(STRAIGHT_LINE).unwrap();
-        let mutated_pc = TEXT_BASE + 2 * 4; // the `addi t2, t1, 2`
-        let mut mutant = MutantSim::new(mutated_pc);
-        let mut reference = Machine::<()>::new(());
-        load_program(mutant.cpu_mut(), &program);
-        load_program(&mut reference.cpu, &program);
-        let outcome = run_lockstep(&mut mutant, &mut reference, &LockstepOptions::default());
-        let divergence = outcome.divergence().expect("mutation must be caught");
-        assert_eq!(divergence.pc, mutated_pc, "{divergence}");
-        assert_eq!(divergence.step, 2);
-        assert!(
-            divergence.reg_delta.iter().any(|d| d.reg == Reg::T2),
-            "{divergence}"
+        // point — this is the checker checking itself — and the report must
+        // carry the retirements immediately before it, at most
+        // `options.context` of them.
+        let long_line = format!(
+            "start:\n{}    li a0, 0\n    li a7, 93\n    ecall\n",
+            "    addi t0, t0, 1\n".repeat(20)
         );
-        // The report must carry the shared pre-divergence context.
-        assert_eq!(divergence.context.len(), 2);
-        assert_eq!(divergence.context[0].pc, TEXT_BASE);
+        let default = LockstepOptions::default();
+        let no_context = LockstepOptions { context: 0, ..default };
+        // (program, index of the mutated instruction, its destination,
+        // options, expected context length)
+        let cases = [
+            (STRAIGHT_LINE, 2, Reg::T2, default, 2),
+            (long_line.as_str(), 15, Reg::T0, default, DEFAULT_CONTEXT),
+            (STRAIGHT_LINE, 2, Reg::T2, no_context, 0),
+        ];
+        for (source, index, dest, options, context_len) in cases {
+            let program = assemble(source).unwrap();
+            let mutated_pc = TEXT_BASE + 4 * index;
+            let mut mutant = MutantSim::new(mutated_pc);
+            let mut reference = Machine::<()>::new(());
+            load_program(mutant.cpu_mut(), &program);
+            load_program(&mut reference.cpu, &program);
+            let outcome = run_lockstep(&mut mutant, &mut reference, &options);
+            let divergence = outcome.divergence().expect("mutation must be caught");
+            assert_eq!(divergence.pc, mutated_pc, "{divergence}");
+            assert_eq!(divergence.step, index);
+            assert!(
+                divergence.reg_delta.iter().any(|d| d.reg == dest),
+                "{divergence}"
+            );
+            assert_eq!(divergence.context.len(), context_len, "{divergence}");
+            let first_seq = index + 1 - context_len as u64;
+            for (offset, record) in (0..).zip(&divergence.context) {
+                assert_eq!(record.seq, first_seq + offset, "{divergence}");
+                assert_eq!(record.pc, TEXT_BASE + 4 * (record.seq - 1));
+            }
+            if let Some(last) = divergence.context.last() {
+                assert_eq!(last.seq, divergence.step);
+            }
+        }
     }
 
     #[test]

@@ -45,13 +45,6 @@ impl SourceBuilder {
         let _ = writeln!(self.text, "    {}", line.as_ref());
     }
 
-    /// Appends several lines at once.
-    pub fn push_all(&mut self, lines: &[&str]) {
-        for line in lines {
-            self.push(line);
-        }
-    }
-
     /// Appends a label definition (unindented).
     pub fn label(&mut self, name: &str) {
         let _ = writeln!(self.text, "{name}:");

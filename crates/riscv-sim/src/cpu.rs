@@ -206,9 +206,6 @@ fn read_sized(memory: &Memory, addr: u64, size: u64) -> u64 {
     value.unwrap_or(0)
 }
 
-/// An observer invoked on every retirement (the canonical stream).
-pub type RetireObserver = Box<dyn FnMut(&RetirementRecord)>;
-
 /// A `(marker id, cycle, instret)` triple recorded by the `mark` syscall.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Marker {
@@ -273,7 +270,6 @@ pub struct Cpu {
     pub rocc_watchdog: u32,
     coprocessor: Box<dyn Coprocessor>,
     scratch_csrs: std::collections::BTreeMap<u16, u64>,
-    retire_observer: Option<RetireObserver>,
 }
 
 /// Default RoCC busy-watchdog bound. Far above any legitimate command
@@ -313,28 +309,12 @@ impl Cpu {
             rocc_watchdog: DEFAULT_ROCC_WATCHDOG,
             coprocessor: Box::new(NoCoprocessor),
             scratch_csrs: std::collections::BTreeMap::new(),
-            retire_observer: None,
         }
     }
 
     /// Attaches an accelerator to the RoCC port.
     pub fn attach_coprocessor(&mut self, coprocessor: Box<dyn Coprocessor>) {
         self.coprocessor = coprocessor;
-    }
-
-    /// Installs an observer called with the canonical [`RetirementRecord`]
-    /// of every retired instruction. The observer is harness state, not
-    /// architectural state: [`Cpu::reset`] keeps it installed.
-    ///
-    /// Every [`crate::Machine`] executes through this core, so an observer
-    /// installed here sees the stream whatever the timing model.
-    pub fn set_retire_observer(&mut self, observer: impl FnMut(&RetirementRecord) + 'static) {
-        self.retire_observer = Some(Box::new(observer));
-    }
-
-    /// Removes the retirement observer, if one is installed.
-    pub fn clear_retire_observer(&mut self) {
-        self.retire_observer = None;
     }
 
     /// A snapshot of the full integer register file, indexed by register
@@ -373,9 +353,6 @@ impl Cpu {
     /// trap logs, and (if the attached coprocessor supports it) the
     /// accelerator state. Restoring the snapshot into a fresh core
     /// continues the run bit-for-bit.
-    ///
-    /// The retirement observer is harness state, not machine state, and
-    /// is not part of the snapshot.
     #[must_use]
     pub fn snapshot(&self) -> CpuSnapshot {
         CpuSnapshot {
@@ -394,9 +371,9 @@ impl Cpu {
     }
 
     /// Restores a previously captured snapshot, replacing all
-    /// architectural state (the attached coprocessor and the retirement
-    /// observer stay attached; the coprocessor is handed its own snapshot
-    /// state, or reset if the snapshot carries none).
+    /// architectural state (the attached coprocessor stays attached and is
+    /// handed its own snapshot state, or reset if the snapshot carries
+    /// none).
     ///
     /// # Errors
     ///
@@ -733,32 +710,13 @@ impl Cpu {
         self.pc = next_pc;
         self.instret += 1;
         self.cycle += 1;
-        let retired = Retired {
+        Ok(Event::Retired(Retired {
             pc,
             instr,
             next_pc,
             mem_access,
             rocc,
-        };
-        if self.retire_observer.is_some() {
-            self.notify_retire_observer(retired);
-        }
-        Ok(Event::Retired(retired))
-    }
-
-    /// Captures the canonical record of `retired` and hands it to the
-    /// observer; kept out of line so a run without an observer pays one
-    /// test per step. `retired` is taken by value: a reference would make
-    /// the step build the record in memory, observer or not.
-    #[cold]
-    #[inline(never)]
-    fn notify_retire_observer(&mut self, retired: Retired) {
-        // Take the observer out so it can borrow the post-step state; it
-        // cannot reach the Cpu, so it cannot install a replacement meanwhile.
-        if let Some(mut observer) = self.retire_observer.take() {
-            observer(&RetirementRecord::capture(self, &retired));
-            self.retire_observer = Some(observer);
-        }
+        }))
     }
 
     fn read_csr(&self, number: u16) -> Result<u64, CpuError> {
@@ -811,20 +769,6 @@ impl Cpu {
             }
         }
         Err(CpuError::InstructionLimit(max_instructions))
-    }
-
-    /// Resets architectural state (registers, pc, counters, coprocessor)
-    /// while keeping memory contents.
-    pub fn reset(&mut self) {
-        self.regs = [0; 32];
-        self.pc = 0;
-        self.cycle = 0;
-        self.instret = 0;
-        self.console.clear();
-        self.markers.clear();
-        self.trap_log.clear();
-        self.scratch_csrs.clear();
-        self.coprocessor.reset();
     }
 }
 
@@ -1046,7 +990,7 @@ mod tests {
     }
 
     #[test]
-    fn retire_observer_sees_canonical_stream() {
+    fn capture_yields_canonical_stream() {
         let mut cpu = Cpu::new();
         let mut prog = vec![
             addi(Reg::T0, Reg::ZERO, 7),
@@ -1056,11 +1000,15 @@ mod tests {
         ];
         prog.extend(exit_seq());
         load(&mut cpu, 0x1000, &prog);
-        let stream = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let sink = stream.clone();
-        cpu.set_retire_observer(move |record| sink.borrow_mut().push(*record));
-        assert_eq!(cpu.run(100).unwrap(), 7);
-        let stream = stream.borrow();
+        let mut stream = Vec::new();
+        let code = loop {
+            match cpu.step().unwrap() {
+                Event::Retired(retired) => stream.push(RetirementRecord::capture(&cpu, &retired)),
+                Event::Exited { code } => break code,
+                Event::Trapped { .. } => panic!("unexpected trap"),
+            }
+        };
+        assert_eq!(code, 7);
         // The exiting ecall retires without a record; everything else streams.
         assert_eq!(stream.len(), prog.len() - 1);
         assert_eq!(stream[0].seq, 1);

@@ -25,13 +25,12 @@ mod cpu;
 mod machine;
 mod memory;
 pub mod snapshot;
-pub mod trace;
 
 use std::fmt;
 
 pub use coproc::{Coprocessor, NoCoprocessor, RoccCommand, RoccResponse, ROCC_HANG};
 pub use cpu::{
-    syscall, trap_cause, Cpu, Event, Marker, MemAccess, MemEffect, Retired, RetireObserver,
+    syscall, trap_cause, Cpu, Event, Marker, MemAccess, MemEffect, Retired,
     RetirementRecord, TrapRecord, DEFAULT_ROCC_WATCHDOG,
 };
 pub use machine::{Machine, RunReport, TimingModel};

@@ -4,14 +4,13 @@
 //! functional executor ([`Cpu`]); they differ only in how much modelled
 //! time a step costs. [`Machine`] owns everything they share — stepping
 //! and running, the hand-off of modelled time to the guest's `rdcycle`,
-//! coprocessor attach, the retirement observer, report assembly and the
-//! snapshot envelope — and a [`TimingModel`] supplies the one part that
-//! differs. The functional (Spike-role) simulator is `Machine<()>`: the
-//! unit model charges nothing and leaves the core's own one-per-step
-//! cycle counter in place.
+//! coprocessor attach, report assembly and the snapshot envelope — and a
+//! [`TimingModel`] supplies the one part that differs. The functional
+//! (Spike-role) simulator is `Machine<()>`: the unit model charges nothing
+//! and leaves the core's own one-per-step cycle counter in place.
 
 use crate::snapshot::{seal, unseal, ByteReader, ByteWriter, CpuSnapshot, SnapshotError, KIND_CPU};
-use crate::{Coprocessor, Cpu, CpuError, Event, Marker, RetirementRecord};
+use crate::{Coprocessor, Cpu, CpuError, Event, Marker};
 
 /// The per-platform part of a simulator: the cycle charge for each step,
 /// the counters it keeps, and the serialization of its own state.
@@ -147,13 +146,6 @@ impl<T: TimingModel> Machine<T> {
         self.cpu.attach_coprocessor(coprocessor);
     }
 
-    /// Installs a retirement observer on the core. Every timing model
-    /// executes through the same core, so all of them emit the same
-    /// canonical stream (see [`RetirementRecord`]).
-    pub fn set_retire_observer(&mut self, observer: impl FnMut(&RetirementRecord) + 'static) {
-        self.cpu.set_retire_observer(observer);
-    }
-
     /// The timing model's counters so far.
     #[must_use]
     pub fn stats(&self) -> T::Stats {
@@ -211,7 +203,7 @@ impl<T: TimingModel> Machine<T> {
 
     /// Restores bytes produced by [`Machine::snapshot`]. The whole
     /// envelope is decoded and checked before any state changes; the
-    /// attached coprocessor and the retirement observer stay in place.
+    /// attached coprocessor stays in place.
     ///
     /// # Errors
     ///

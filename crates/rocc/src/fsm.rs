@@ -105,11 +105,6 @@ impl InterfaceFsm {
         &self.trace
     }
 
-    /// Clears the recorded trace.
-    pub fn clear_trace(&mut self) {
-        self.trace.clear();
-    }
-
     fn goto(&mut self, to: FsmState, cause: &'static str) {
         if self.tracing {
             self.trace.push(Transition {

@@ -11,14 +11,13 @@
 //! coprocessor state restored into an accelerator-less core must each
 //! fail with the matching typed [`SnapshotError`], never garbage state.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use decimalarith::atomic_sim::AtomicTiming;
 use decimalarith::codesign::framework::build_guest;
 use decimalarith::codesign::kernels::KernelKind;
 use decimalarith::lockstep::{guest_budget, load_program, SimKind};
-use decimalarith::riscv_sim::{Cpu, Event, Machine, SnapshotError, TimingModel, SNAPSHOT_VERSION};
+use decimalarith::riscv_sim::{
+    Cpu, Event, Machine, RetirementRecord, SnapshotError, TimingModel, SNAPSHOT_VERSION,
+};
 use decimalarith::rocc::DecimalAccelerator;
 use decimalarith::rocket_sim::RocketTiming;
 use decimalarith::testgen::{generate, TestConfig};
@@ -35,32 +34,38 @@ where
     sim
 }
 
-/// Records the machine's retirement stream, one rendered record per line.
-fn observe<T: TimingModel>(sim: &mut Machine<T>, stream: &Rc<RefCell<Vec<String>>>) {
-    let stream = Rc::clone(stream);
-    sim.set_retire_observer(move |record| stream.borrow_mut().push(record.to_string()));
-}
-
-/// Steps until the guest exits, returning the exit code and step count.
-fn run_to_exit<T: TimingModel>(sim: &mut Machine<T>, budget: u64) -> (i64, u64) {
+/// Steps until the guest exits, appending each retirement's rendered
+/// canonical record to `stream`; returns the exit code and step count.
+fn run_to_exit<T: TimingModel>(
+    sim: &mut Machine<T>,
+    budget: u64,
+    stream: &mut Vec<String>,
+) -> (i64, u64) {
     let mut steps = 0;
     loop {
         assert!(steps < budget, "guest did not exit within the step budget");
         steps += 1;
         match sim.step() {
             Ok(Event::Exited { code }) => return (code, steps),
-            Ok(_) => {}
+            Ok(Event::Retired(retired)) => {
+                stream.push(RetirementRecord::capture(&sim.cpu, &retired).to_string());
+            }
+            Ok(Event::Trapped { .. }) => {}
             Err(e) => panic!("unexpected fault after {steps} steps: {e}"),
         }
     }
 }
 
-/// Steps exactly `n` times, asserting the guest does not exit early.
-fn run_steps<T: TimingModel>(sim: &mut Machine<T>, n: u64) {
+/// Steps exactly `n` times, asserting the guest does not exit early and
+/// appending each retirement's rendered canonical record to `stream`.
+fn run_steps<T: TimingModel>(sim: &mut Machine<T>, n: u64, stream: &mut Vec<String>) {
     for step in 0..n {
         match sim.step() {
             Ok(Event::Exited { .. }) => panic!("guest exited early at step {step}"),
-            Ok(_) => {}
+            Ok(Event::Retired(retired)) => {
+                stream.push(RetirementRecord::capture(&sim.cpu, &retired).to_string());
+            }
+            Ok(Event::Trapped { .. }) => {}
             Err(e) => panic!("unexpected fault at step {step}: {e}"),
         }
     }
@@ -83,31 +88,27 @@ where
         .unwrap_or_else(|e| panic!("{kernel}: failed to build guest: {e}"));
     let budget = guest_budget(&guest);
 
-    let reference_stream = Rc::new(RefCell::new(Vec::new()));
+    let mut reference_stream = Vec::new();
     let mut reference = machine::<T>();
-    observe(&mut reference, &reference_stream);
     load_program(&mut reference.cpu, &guest.program);
-    let (reference_exit, total_steps) = run_to_exit(&mut reference, budget);
+    let (reference_exit, total_steps) = run_to_exit(&mut reference, budget, &mut reference_stream);
     let reference_final = reference.snapshot();
     assert!(total_steps >= 2, "guest too short to split");
 
     let split = (total_steps * numer / denom).clamp(1, total_steps - 1);
-    let prefix_stream = Rc::new(RefCell::new(Vec::new()));
+    let mut resumed_stream = Vec::new();
     let mut first = machine::<T>();
-    observe(&mut first, &prefix_stream);
     load_program(&mut first.cpu, &guest.program);
-    run_steps(&mut first, split);
+    run_steps(&mut first, split, &mut resumed_stream);
     let snapshot = first.snapshot();
 
     // The snapshot is restored into a *fresh* machine — nothing carries
     // over except the serialized bytes.
-    let suffix_stream = Rc::new(RefCell::new(Vec::new()));
     let mut second = machine::<T>();
-    observe(&mut second, &suffix_stream);
     second
         .restore(&snapshot)
         .unwrap_or_else(|e| panic!("{kernel} on {label}: restore failed: {e}"));
-    let (resumed_exit, suffix_steps) = run_to_exit(&mut second, budget);
+    let (resumed_exit, suffix_steps) = run_to_exit(&mut second, budget, &mut resumed_stream);
 
     assert_eq!(
         resumed_exit, reference_exit,
@@ -118,11 +119,8 @@ where
         total_steps,
         "{kernel} on {label}: step count"
     );
-    let mut combined = prefix_stream.borrow().clone();
-    combined.extend(suffix_stream.borrow().iter().cloned());
     assert_eq!(
-        combined,
-        *reference_stream.borrow(),
+        resumed_stream, reference_stream,
         "{kernel} on {label}: retirement stream"
     );
     assert_eq!(
