@@ -16,7 +16,7 @@ use decimalarith::codesign::framework::build_guest;
 use decimalarith::codesign::kernels::KernelKind;
 use decimalarith::lockstep::{guest_budget, load_program, SimKind};
 use decimalarith::riscv_sim::{
-    Cpu, Event, Machine, RetirementRecord, SnapshotError, TimingModel, SNAPSHOT_VERSION,
+    Cpu, CpuError, Event, Machine, RetirementRecord, SnapshotError, TimingModel, SNAPSHOT_VERSION,
 };
 use decimalarith::rocc::DecimalAccelerator;
 use decimalarith::rocket_sim::RocketTiming;
@@ -34,39 +34,46 @@ where
     sim
 }
 
-/// Steps until the guest exits, appending each retirement's rendered
-/// canonical record to `stream`; returns the exit code and step count.
+/// Steps once, appending the canonical record to `stream` if an
+/// instruction retired.
+fn step<T: TimingModel>(
+    sim: &mut Machine<T>,
+    stream: &mut Vec<RetirementRecord>,
+) -> Result<Event, CpuError> {
+    let event = sim.step()?;
+    if let Event::Retired(retired) = &event {
+        stream.push(RetirementRecord::capture(&sim.cpu, retired));
+    }
+    Ok(event)
+}
+
+/// Steps until the guest exits, recording its retirement stream; returns
+/// the exit code and step count.
 fn run_to_exit<T: TimingModel>(
     sim: &mut Machine<T>,
     budget: u64,
-    stream: &mut Vec<String>,
+    stream: &mut Vec<RetirementRecord>,
 ) -> (i64, u64) {
     let mut steps = 0;
     loop {
         assert!(steps < budget, "guest did not exit within the step budget");
         steps += 1;
-        match sim.step() {
+        match step(sim, stream) {
             Ok(Event::Exited { code }) => return (code, steps),
-            Ok(Event::Retired(retired)) => {
-                stream.push(RetirementRecord::capture(&sim.cpu, &retired).to_string());
-            }
-            Ok(Event::Trapped { .. }) => {}
+            Ok(_) => {}
             Err(e) => panic!("unexpected fault after {steps} steps: {e}"),
         }
     }
 }
 
-/// Steps exactly `n` times, asserting the guest does not exit early and
-/// appending each retirement's rendered canonical record to `stream`.
-fn run_steps<T: TimingModel>(sim: &mut Machine<T>, n: u64, stream: &mut Vec<String>) {
-    for step in 0..n {
-        match sim.step() {
-            Ok(Event::Exited { .. }) => panic!("guest exited early at step {step}"),
-            Ok(Event::Retired(retired)) => {
-                stream.push(RetirementRecord::capture(&sim.cpu, &retired).to_string());
-            }
-            Ok(Event::Trapped { .. }) => {}
-            Err(e) => panic!("unexpected fault at step {step}: {e}"),
+/// Steps exactly `n` times, recording the retirement stream and asserting
+/// the guest does not exit early.
+fn run_steps<T: TimingModel>(sim: &mut Machine<T>, n: u64, stream: &mut Vec<RetirementRecord>) {
+    for step_index in 0..n {
+        match step(sim, stream) {
+            Ok(Event::Exited { .. }) => panic!("guest exited early at step {step_index}"),
+            Ok(_) => {}
+            Err(e) => panic!("unexpected fault at step {step_index}: {e}"),
         }
     }
 }
