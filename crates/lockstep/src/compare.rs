@@ -1,12 +1,12 @@
 //! The lockstep comparator: steps two simulators through the same program,
-//! compares their canonical retirement streams, and reports the first
-//! divergence with full context.
+//! compares their canonical retirement streams in place, and reports the
+//! first divergence with full context.
 
 use std::collections::VecDeque;
 
 use riscv_isa::instr::Instr;
 use riscv_isa::{csr, Reg};
-use riscv_sim::{Cpu, CpuError, Event, Machine, RetirementRecord, TimingModel};
+use riscv_sim::{Cpu, CpuError, Event, Machine, MemEffect, Retired, RetirementRecord, TimingModel};
 
 /// Default number of pre-divergence retirements kept as context.
 pub const DEFAULT_CONTEXT: usize = 8;
@@ -30,6 +30,24 @@ pub trait LockstepSim {
     ///
     /// Propagates the underlying [`CpuError`].
     fn step_sim(&mut self) -> Result<Event, CpuError>;
+}
+
+impl<S: LockstepSim + ?Sized> LockstepSim for Box<S> {
+    fn label(&self) -> &'static str {
+        (**self).label()
+    }
+
+    fn cpu(&self) -> &Cpu {
+        (**self).cpu()
+    }
+
+    fn cpu_mut(&mut self) -> &mut Cpu {
+        (**self).cpu_mut()
+    }
+
+    fn step_sim(&mut self) -> Result<Event, CpuError> {
+        (**self).step_sim()
+    }
 }
 
 impl<T: TimingModel> LockstepSim for Machine<T> {
@@ -210,7 +228,8 @@ impl LockstepOutcome {
 pub struct LockstepOptions {
     /// Step budget before giving up with [`Termination::BudgetExhausted`].
     pub max_instructions: u64,
-    /// Pre-divergence retirements to keep as context.
+    /// Pre-divergence retirements to report as context. They are rebuilt
+    /// only when a run diverges; 0 skips the rebuild.
     pub context: usize,
     /// Also compare final register files, console output and markers when
     /// both programs exit.
@@ -273,6 +292,28 @@ fn register_delta(a: &Cpu, b: &Cpu) -> Vec<RegDelta> {
         .collect()
 }
 
+/// True if two retirements are architecturally identical: exactly
+/// `canonical(capture(a)) == canonical(capture(b))`, evaluated against each
+/// side's post-step state without building either record. Memory values are
+/// read back from each side's memory rather than taken from the core.
+fn same_retirement(a: &Cpu, ra: &Retired, b: &Cpu, rb: &Retired) -> bool {
+    let mem = |cpu: &Cpu, retired: &Retired| {
+        retired
+            .mem_access
+            .map(|access| MemEffect::read_back(&cpu.memory, access))
+    };
+    a.instret == b.instret
+        && ra.pc == rb.pc
+        && ra.next_pc == rb.next_pc
+        && ra.instr == rb.instr
+        && ra
+            .instr
+            .dest()
+            .is_none_or(|rd| a.reg(rd) == b.reg(rd) || is_cycle_read(&ra.instr))
+        && mem(a, ra) == mem(b, rb)
+        && ra.rocc.and_then(|resp| resp.rd_value) == rb.rocc.and_then(|resp| resp.rd_value)
+}
+
 fn outcome_of(result: Result<Event, CpuError>, cpu: &Cpu) -> StepOutcome {
     match result {
         Ok(Event::Retired(retired)) => {
@@ -291,72 +332,88 @@ fn divergence_pc(a: &StepOutcome, b: &StepOutcome, fallback: u64) -> u64 {
     }
 }
 
-/// Runs two simulators in lockstep over whatever programs are already
-/// loaded into them, comparing canonical retirement streams step by step.
+/// The last `len` canonical records side A retired before lockstep position
+/// `step`, rebuilt by re-running a fresh side A for `step` positions. The
+/// simulators are deterministic and every earlier position agreed, so these
+/// are the records both sides retired. Trap positions count as steps but
+/// retire nothing.
+fn rebuild_context<A: LockstepSim>(
+    build_a: &impl Fn() -> A,
+    step: u64,
+    len: usize,
+) -> Vec<RetirementRecord> {
+    if len == 0 {
+        return Vec::new();
+    }
+    let mut sim = build_a();
+    let mut context = VecDeque::with_capacity(len);
+    for _ in 0..step {
+        if let Ok(Event::Retired(retired)) = sim.step_sim() {
+            if context.len() == len {
+                context.pop_front();
+            }
+            context.push_back(canonical(RetirementRecord::capture(sim.cpu(), &retired)));
+        }
+    }
+    context.into()
+}
+
+/// Runs two simulators in lockstep over the same program, comparing their
+/// canonical retirement streams step by step.
 ///
-/// Both simulators must have been loaded with the same program (see
-/// [`crate::load_program`]). A fault on both sides with the same error is
-/// architectural agreement; anything asymmetric is a divergence.
-pub fn run_lockstep(
-    a: &mut dyn LockstepSim,
-    b: &mut dyn LockstepSim,
+/// `build_a` and `build_b` each return a fresh simulator with the program
+/// already loaded (see [`crate::load_program`]). Each step is compared in
+/// place against the post-step state; no record is built while the sides
+/// agree. Only a divergence builds records: the two sides' outcomes, and
+/// the last `options.context` retirements, rebuilt by calling `build_a`
+/// again and re-running it to the divergence. An agreeing run calls each
+/// builder once. A fault on both sides with the same error is architectural
+/// agreement; anything asymmetric is a divergence.
+pub fn run_lockstep<A: LockstepSim, B: LockstepSim>(
+    build_a: impl Fn() -> A,
+    build_b: impl Fn() -> B,
     options: &LockstepOptions,
 ) -> LockstepOutcome {
-    let mut context: VecDeque<RetirementRecord> = VecDeque::with_capacity(options.context.max(1));
+    let (mut a, mut b) = (build_a(), build_b());
+    let (a_label, b_label) = (a.label(), b.label());
+    let report = |step: u64,
+                  pc: u64,
+                  oa: StepOutcome,
+                  ob: StepOutcome,
+                  reg_delta: Vec<RegDelta>,
+                  mem_delta| {
+        LockstepOutcome::Divergence(Box::new(Divergence {
+            step,
+            pc,
+            a_label,
+            b_label,
+            a: oa,
+            b: ob,
+            reg_delta,
+            mem_delta,
+            context: rebuild_context(&build_a, step, options.context),
+        }))
+    };
     // Registers whose current value came straight from a cycle/time read;
     // they hold each timing model's own count and are excluded from the
     // final-state register comparison.
     let mut cycle_tainted = [false; 32];
-    let divergence = |step: u64,
-                      a: &dyn LockstepSim,
-                      b: &dyn LockstepSim,
-                      oa: StepOutcome,
-                      ob: StepOutcome,
-                      context: &VecDeque<RetirementRecord>| {
-        let mem_delta = match (&oa, &ob) {
-            (StepOutcome::Retired(ra), StepOutcome::Retired(rb)) if ra.mem != rb.mem => {
-                Some((ra.mem, rb.mem))
-            }
-            _ => None,
-        };
-        LockstepOutcome::Divergence(Box::new(Divergence {
-            step,
-            pc: divergence_pc(&oa, &ob, a.cpu().pc()),
-            a_label: a.label(),
-            b_label: b.label(),
-            reg_delta: register_delta(a.cpu(), b.cpu()),
-            mem_delta,
-            a: oa,
-            b: ob,
-            context: context.iter().copied().collect(),
-        }))
-    };
 
     for step in 0..options.max_instructions {
-        let oa = outcome_of(a.step_sim(), a.cpu());
-        let ob = outcome_of(b.step_sim(), b.cpu());
-        match (&oa, &ob) {
-            (StepOutcome::Retired(ra), StepOutcome::Retired(rb)) => {
-                let (ca, cb) = (canonical(*ra), canonical(*rb));
-                if ca != cb {
-                    return divergence(step, a, b, oa, ob, &context);
-                }
-                if let Some((reg, _)) = ca.rd_write {
-                    cycle_tainted[reg.number() as usize] = is_cycle_read(&ca.instr);
-                }
-                if context.len() == options.context {
-                    context.pop_front();
-                }
-                if options.context > 0 {
-                    context.push_back(ca);
+        let (ea, eb) = (a.step_sim(), b.step_sim());
+        match (&ea, &eb) {
+            (Ok(Event::Retired(ra)), Ok(Event::Retired(rb)))
+                if same_retirement(a.cpu(), ra, b.cpu(), rb) =>
+            {
+                if let Some(reg) = ra.instr.dest() {
+                    cycle_tainted[reg.number() as usize] = is_cycle_read(&ra.instr);
                 }
             }
-            (StepOutcome::Exited { code: ca }, StepOutcome::Exited { code: cb }) if ca == cb => {
+            (Ok(Event::Exited { code: ca }), Ok(Event::Exited { code: cb })) if ca == cb => {
                 if options.compare_final_state {
-                    if let Some(outcome) =
-                        final_state_divergence(step, a, b, &oa, &ob, &context, &cycle_tainted)
-                    {
-                        return outcome;
+                    if let Some(reg_delta) = final_state_delta(a.cpu(), b.cpu(), &cycle_tainted) {
+                        let (oa, ob) = (outcome_of(ea, a.cpu()), outcome_of(eb, b.cpu()));
+                        return report(step, a.cpu().pc(), oa, ob, reg_delta, None);
                     }
                 }
                 return LockstepOutcome::Agreement {
@@ -364,20 +421,26 @@ pub fn run_lockstep(
                     termination: Termination::Exited(*ca),
                 };
             }
-            (
-                StepOutcome::Trapped { cause: ca, epc: ea },
-                StepOutcome::Trapped { cause: cb, epc: eb },
-            ) if ca == cb && ea == eb => {
-                // Identical trap delivery on both sides: not a retirement,
-                // the lockstep run simply continues inside the handler.
-            }
-            (StepOutcome::Fault(ea), StepOutcome::Fault(eb)) if ea == eb => {
+            // Identical trap delivery on both sides: not a retirement, the
+            // lockstep run simply continues inside the handler.
+            (Ok(trap @ Event::Trapped { .. }), Ok(other)) if trap == other => {}
+            (Err(fa), Err(fb)) if fa == fb => {
                 return LockstepOutcome::Agreement {
                     instructions: step,
-                    termination: Termination::MatchingFault(*ea),
+                    termination: Termination::MatchingFault(*fa),
                 };
             }
-            _ => return divergence(step, a, b, oa, ob, &context),
+            _ => {
+                let (oa, ob) = (outcome_of(ea, a.cpu()), outcome_of(eb, b.cpu()));
+                let mem_delta = match (&oa, &ob) {
+                    (StepOutcome::Retired(ra), StepOutcome::Retired(rb)) if ra.mem != rb.mem => {
+                        Some((ra.mem, rb.mem))
+                    }
+                    _ => None,
+                };
+                let pc = divergence_pc(&oa, &ob, a.cpu().pc());
+                return report(step, pc, oa, ob, register_delta(a.cpu(), b.cpu()), mem_delta);
+            }
         }
     }
     LockstepOutcome::Agreement {
@@ -390,36 +453,18 @@ pub fn run_lockstep(
 /// console output, and markers (ids and instruction counts; marker cycle
 /// counts are timing and excluded). Registers whose last write was a
 /// cycle/time read hold each timing model's own count and are skipped.
-fn final_state_divergence(
-    step: u64,
-    a: &dyn LockstepSim,
-    b: &dyn LockstepSim,
-    oa: &StepOutcome,
-    ob: &StepOutcome,
-    context: &VecDeque<RetirementRecord>,
-    cycle_tainted: &[bool; 32],
-) -> Option<LockstepOutcome> {
-    let mut reg_delta = register_delta(a.cpu(), b.cpu());
+/// Returns the register delta if anything differs.
+fn final_state_delta(a: &Cpu, b: &Cpu, cycle_tainted: &[bool; 32]) -> Option<Vec<RegDelta>> {
+    let mut reg_delta = register_delta(a, b);
     reg_delta.retain(|delta| !cycle_tainted[delta.reg.number() as usize]);
-    let console_match = a.cpu().console == b.cpu().console;
-    let markers_match = a.cpu().markers.len() == b.cpu().markers.len()
-        && a.cpu()
-            .markers
+    let console_match = a.console == b.console;
+    let markers_match = a.markers.len() == b.markers.len()
+        && a.markers
             .iter()
-            .zip(&b.cpu().markers)
+            .zip(&b.markers)
             .all(|(ma, mb)| ma.id == mb.id && ma.instret == mb.instret);
     if reg_delta.is_empty() && console_match && markers_match {
         return None;
     }
-    Some(LockstepOutcome::Divergence(Box::new(Divergence {
-        step,
-        pc: a.cpu().pc(),
-        a_label: a.label(),
-        b_label: b.label(),
-        a: oa.clone(),
-        b: ob.clone(),
-        reg_delta,
-        mem_delta: None,
-        context: context.iter().copied().collect(),
-    })))
+    Some(reg_delta)
 }

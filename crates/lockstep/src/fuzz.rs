@@ -447,13 +447,16 @@ fn fuzz_program(config: &FuzzConfig, options: &LockstepOptions, index: u32) -> P
                 result.instructions_checked += instructions;
             }
             LockstepOutcome::Divergence(_) => {
+                // Probes only ask agree or disagree, so they skip the
+                // context rebuild; the final report below keeps it.
+                let probe = LockstepOptions { context: 0, ..*options };
                 let reproduces = |candidate: &[Item]| {
                     let Ok(program) = assemble(&render(candidate)) else {
                         // A removed label some branch still targets:
                         // this candidate is invalid, not minimal.
                         return false;
                     };
-                    !run_program_pair(&program, pair, config.with_rocc, options).is_agreement()
+                    !run_program_pair(&program, pair, config.with_rocc, &probe).is_agreement()
                 };
                 let shrunk = shrink_items(items.clone(), &reproduces);
                 let shrunk_source = render(&shrunk);

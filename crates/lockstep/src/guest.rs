@@ -94,11 +94,14 @@ pub fn run_program_pair(
     with_accelerator: bool,
     options: &LockstepOptions,
 ) -> LockstepOutcome {
-    let mut a = pair.a.build(with_accelerator);
-    let mut b = pair.b.build(with_accelerator);
-    load_program(a.cpu_mut(), program);
-    load_program(b.cpu_mut(), program);
-    run_lockstep(a.as_mut(), b.as_mut(), options)
+    let build = move |kind: SimKind| {
+        move || {
+            let mut sim = kind.build(with_accelerator);
+            load_program(sim.cpu_mut(), program);
+            sim
+        }
+    };
+    run_lockstep(build(pair.a), build(pair.b), options)
 }
 
 /// Runs an evaluation-framework guest on a pair of simulators in lockstep,

@@ -81,33 +81,21 @@ pub use guest::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use riscv_asm::{assemble, TEXT_BASE};
+    use riscv_asm::{assemble, Program, TEXT_BASE};
     use riscv_isa::Reg;
-    use riscv_sim::{Cpu, CpuError, Event, Machine};
+    use riscv_sim::{Coprocessor, Cpu, CpuError, Event, Machine, Retired};
 
-    /// A functional core with a deliberate single-instruction semantic
-    /// mutation: after the instruction at `mutate_at` retires, its
-    /// destination register is corrupted (bit 0 flipped) — modelling an
-    /// executor bug at exactly one retirement.
-    struct MutantSim {
+    /// A functional core with a deliberate fault: `after_step` runs after
+    /// every step and may corrupt the core's state.
+    struct FaultySim<F> {
+        label: &'static str,
         cpu: Cpu,
-        mutate_at: u64,
-        fired: bool,
+        after_step: F,
     }
 
-    impl MutantSim {
-        fn new(mutate_at: u64) -> Self {
-            MutantSim {
-                cpu: Cpu::new(),
-                mutate_at,
-                fired: false,
-            }
-        }
-    }
-
-    impl LockstepSim for MutantSim {
+    impl<F: FnMut(&mut Cpu, &Event)> LockstepSim for FaultySim<F> {
         fn label(&self) -> &'static str {
-            "mutant"
+            self.label
         }
 
         fn cpu(&self) -> &Cpu {
@@ -120,17 +108,67 @@ mod tests {
 
         fn step_sim(&mut self) -> Result<Event, CpuError> {
             let event = self.cpu.step()?;
-            if let Event::Retired(retired) = &event {
-                if retired.pc == self.mutate_at && !self.fired {
-                    self.fired = true;
+            (self.after_step)(&mut self.cpu, &event);
+            Ok(event)
+        }
+    }
+
+    fn faulty<F: FnMut(&mut Cpu, &Event)>(label: &'static str, after_step: F) -> FaultySim<F> {
+        FaultySim { label, cpu: Cpu::new(), after_step }
+    }
+
+    /// A single-instruction semantic mutation: after the instruction at
+    /// `mutate_at` first retires, its destination register is corrupted
+    /// (bit 0 flipped), modelling an executor bug at exactly one retirement.
+    fn mutant(mutate_at: u64) -> impl LockstepSim {
+        let mut fired = false;
+        faulty("mutant", move |cpu, event| {
+            if let Event::Retired(retired) = event {
+                if retired.pc == mutate_at && !fired {
+                    fired = true;
                     if let Some(rd) = retired.instr.dest() {
-                        let value = self.cpu.reg(rd);
-                        self.cpu.set_reg(rd, value ^ 1);
+                        cpu.set_reg(rd, cpu.reg(rd) ^ 1);
                     }
                 }
             }
-            Ok(event)
-        }
+        })
+    }
+
+    /// A core whose stores are corrupted after the fact: one bit of the
+    /// bytes each store has just written is flipped, registers untouched.
+    fn store_flip() -> impl LockstepSim {
+        faulty("store-flip", |cpu, event| {
+            if let Event::Retired(Retired { mem_access: Some(access), .. }) = event {
+                if access.store {
+                    let byte = cpu.memory.read_u8(access.addr).unwrap();
+                    cpu.memory.write_u8(access.addr, byte ^ 0x10).unwrap();
+                }
+            }
+        })
+    }
+
+    /// A core that appends to its console when the program exits: its
+    /// retirement stream is correct, its final state is not.
+    fn loud_exit() -> impl LockstepSim {
+        faulty("loud-exit", |cpu, event| {
+            if let Event::Exited { .. } = event {
+                cpu.console.push(b'!');
+            }
+        })
+    }
+
+    /// Loads `program` into `sim`, ready for a lockstep run.
+    fn loaded<S: LockstepSim>(mut sim: S, program: &Program) -> S {
+        load_program(sim.cpu_mut(), program);
+        sim
+    }
+
+    /// A functional machine with `coprocessor` attached and `program`
+    /// loaded.
+    fn with_accelerator(program: &Program, coprocessor: Box<dyn Coprocessor>) -> Machine<()> {
+        let mut sim = Machine::<()>::new(());
+        sim.attach_coprocessor(coprocessor);
+        loaded(sim, program)
     }
 
     const STRAIGHT_LINE: &str = "
@@ -166,11 +204,11 @@ mod tests {
         for (source, index, dest, options, context_len) in cases {
             let program = assemble(source).unwrap();
             let mutated_pc = TEXT_BASE + 4 * index;
-            let mut mutant = MutantSim::new(mutated_pc);
-            let mut reference = Machine::<()>::new(());
-            load_program(mutant.cpu_mut(), &program);
-            load_program(&mut reference.cpu, &program);
-            let outcome = run_lockstep(&mut mutant, &mut reference, &options);
+            let outcome = run_lockstep(
+                || loaded(mutant(mutated_pc), &program),
+                || loaded(Machine::<()>::new(()), &program),
+                &options,
+            );
             let divergence = outcome.divergence().expect("mutation must be caught");
             assert_eq!(divergence.pc, mutated_pc, "{divergence}");
             assert_eq!(divergence.step, index);
@@ -193,13 +231,198 @@ mod tests {
     #[test]
     fn unmutated_pair_agrees() {
         let program = assemble(STRAIGHT_LINE).unwrap();
-        // A MutantSim that never fires behaves exactly like the reference.
-        let mut mutant = MutantSim::new(u64::MAX);
-        let mut reference = Machine::<()>::new(());
-        load_program(mutant.cpu_mut(), &program);
-        load_program(&mut reference.cpu, &program);
-        let outcome = run_lockstep(&mut mutant, &mut reference, &LockstepOptions::default());
+        // A mutant that never fires behaves exactly like the reference,
+        // and an agreeing run builds side A exactly once: no context is
+        // rebuilt unless the run diverges.
+        let builds = std::cell::Cell::new(0);
+        let outcome = run_lockstep(
+            || {
+                builds.set(builds.get() + 1);
+                loaded(mutant(u64::MAX), &program)
+            },
+            || loaded(Machine::<()>::new(()), &program),
+            &LockstepOptions::default(),
+        );
         assert!(outcome.is_agreement());
+        assert_eq!(builds.get(), 1);
+    }
+
+    /// Stores a value, loads it back and exits.
+    const STORE_THEN_LOAD: &str = "
+        start:
+            la t0, slot
+            li t1, 0x1234
+            sd t1, 0(t0)
+            ld t2, 0(t0)
+            li a0, 0
+            li a7, 93
+            ecall
+        .data
+        .align 3
+        slot:
+            .dword 0
+    ";
+
+    #[test]
+    fn store_corrupted_in_memory_is_caught_at_the_store() {
+        // Only the bytes in memory differ, never a register: the comparator
+        // must read the stored value back from each side's memory.
+        let program = assemble(STORE_THEN_LOAD).unwrap();
+        let outcome = run_lockstep(
+            || loaded(Machine::<()>::new(()), &program),
+            || loaded(store_flip(), &program),
+            &LockstepOptions::default(),
+        );
+        let divergence = outcome.divergence().expect("store corruption must be caught");
+        assert_eq!(divergence.pc, TEXT_BASE + 4 * 4, "{divergence}");
+        assert!(divergence.reg_delta.is_empty(), "{divergence}");
+        let (a_mem, b_mem) = divergence.mem_delta.expect("memory delta");
+        let (a_mem, b_mem) = (a_mem.unwrap(), b_mem.unwrap());
+        assert!(a_mem.store && b_mem.store);
+        assert_eq!((a_mem.value, b_mem.value), (0x1234, 0x1224));
+    }
+
+    #[test]
+    fn divergence_reports_match_the_pinned_text() {
+        // Every kind of divergence report, byte for byte: register and
+        // memory deltas, a fault on one side, a final-state mismatch, and
+        // context that is empty, short, full, or spans a delivered trap.
+        let report = |a: &dyn Fn() -> Box<dyn LockstepSim>,
+                      b: &dyn Fn() -> Box<dyn LockstepSim>,
+                      context: usize| {
+            let options = LockstepOptions { context, ..LockstepOptions::default() };
+            run_lockstep(a, b, &options).divergence().expect("must diverge").to_string()
+        };
+        let functional = |program: &Program| {
+            let program = program.clone();
+            move || -> Box<dyn LockstepSim> { Box::new(loaded(Machine::<()>::new(()), &program)) }
+        };
+        let long_line = assemble(&format!(
+            "start:\n{}    li a0, 0\n    li a7, 93\n    ecall\n",
+            "    addi t0, t0, 1\n".repeat(20)
+        ))
+        .unwrap();
+        let straight_line = assemble(STRAIGHT_LINE).unwrap();
+        let mut actual = Vec::new();
+        for context in [DEFAULT_CONTEXT, 0] {
+            for (name, program, index) in [("straight 2", &straight_line, 2), ("long 15", &long_line, 15)] {
+                let mutated: &dyn Fn() -> Box<dyn LockstepSim> =
+                    &|| Box::new(loaded(mutant(TEXT_BASE + 4 * index), program));
+                actual.push((
+                    format!("{name} ctx {context}"),
+                    report(mutated, &functional(program), context),
+                ));
+            }
+        }
+        let accelerated = |source: &str, coprocessor: fn() -> Box<dyn Coprocessor>| {
+            let program = assemble(source).unwrap();
+            move || -> Box<dyn LockstepSim> { Box::new(with_accelerator(&program, coprocessor())) }
+        };
+        let good = || -> Box<dyn Coprocessor> { Box::new(rocc::DecimalAccelerator::new()) };
+        let wrong_digit = "
+            start:
+                li t0, 0x15
+                li t1, 0x27
+                custom0 4, t2, t0, t1, 1, 1, 1
+                li a0, 0
+                li a7, 93
+                ecall
+        ";
+        actual.push((
+            "wrong digit".to_string(),
+            report(
+                &accelerated(wrong_digit, good),
+                &accelerated(wrong_digit, || {
+                    Box::new(inject::WrongDigitAccelerator::new(rocc::DecimalFunct::DecAdd))
+                }),
+                DEFAULT_CONTEXT,
+            ),
+        ));
+        let stuck = "
+            start:
+                li t0, 0x11
+                custom0 4, t2, t0, t0, 1, 1, 1
+                li t0, 0x15
+                li t1, 0x27
+                custom0 4, t3, t0, t1, 1, 1, 1
+                li a0, 0
+                li a7, 93
+                ecall
+        ";
+        actual.push((
+            "stuck".to_string(),
+            report(
+                &accelerated(stuck, good),
+                &accelerated(stuck, || Box::new(inject::StuckFsmAccelerator::new(1))),
+                DEFAULT_CONTEXT,
+            ),
+        ));
+        actual.push((
+            "final".to_string(),
+            report(
+                &functional(&straight_line),
+                &|| Box::new(loaded(loud_exit(), &straight_line)),
+                DEFAULT_CONTEXT,
+            ),
+        ));
+        // The last 8 positions before the mutated `addi` include the
+        // delivered load-fault trap, which counts as a step but retires
+        // nothing.
+        let trap_then_mutate = assemble(
+            "
+            start:
+                la   t0, handler
+                csrrw zero, 0x305, t0
+                li   s0, 0
+                li   t0, 0x666000
+                ld   t1, 0(t0)
+                addi s0, s0, 1
+            mutated:
+                addi s0, s0, 2
+                mv   a0, s0
+                li   a7, 93
+                ecall
+            handler:
+                csrrs t1, 0x342, zero
+                add  s0, s0, t1
+                csrrs t1, 0x341, zero
+                addi t1, t1, 4
+                csrrw zero, 0x341, t1
+                mret
+            ",
+        )
+        .unwrap();
+        let mutated_pc = trap_then_mutate.symbol("mutated").unwrap();
+        actual.push((
+            "trap".to_string(),
+            report(
+                &|| Box::new(loaded(mutant(mutated_pc), &trap_then_mutate)),
+                &functional(&trap_then_mutate),
+                DEFAULT_CONTEXT,
+            ),
+        ));
+        let store_then_load = assemble(STORE_THEN_LOAD).unwrap();
+        actual.push((
+            "store flip".to_string(),
+            report(
+                &functional(&store_then_load),
+                &|| Box::new(loaded(store_flip(), &store_then_load)),
+                DEFAULT_CONTEXT,
+            ),
+        ));
+
+        let pinned: Vec<(&str, &str)> = include_str!("../tests/divergence_reports.txt")
+            .split("=== ")
+            .skip(1)
+            .map(|section| section.split_once('\n').unwrap())
+            .collect();
+        assert_eq!(
+            actual.iter().map(|(name, _)| name.as_str()).collect::<Vec<_>>(),
+            pinned.iter().map(|(name, _)| *name).collect::<Vec<_>>()
+        );
+        for ((name, text), (_, pinned_text)) in actual.iter().zip(&pinned) {
+            assert_eq!(text, pinned_text, "report `{name}` changed");
+        }
     }
 
     #[test]
@@ -319,13 +542,14 @@ mod tests {
             let Ok(program) = assemble(&render(items)) else {
                 return false;
             };
-            let mut good = Machine::<()>::new(());
-            good.attach_coprocessor(Box::new(DecimalAccelerator::new()));
-            let mut bad = Machine::<()>::new(());
-            bad.attach_coprocessor(Box::new(WrongDigitAccelerator::new(DecimalFunct::DecAdd)));
-            load_program(&mut good.cpu, &program);
-            load_program(&mut bad.cpu, &program);
-            !run_lockstep(&mut good, &mut bad, &LockstepOptions::default()).is_agreement()
+            let good = || with_accelerator(&program, Box::new(DecimalAccelerator::new()));
+            let bad = || {
+                with_accelerator(
+                    &program,
+                    Box::new(WrongDigitAccelerator::new(DecimalFunct::DecAdd)),
+                )
+            };
+            !run_lockstep(good, bad, &LockstepOptions::default()).is_agreement()
         };
         assert!(
             reproduces(&items),

@@ -102,6 +102,28 @@ pub struct MemEffect {
     pub value: u64,
 }
 
+impl MemEffect {
+    /// The effect of `access`, with its value read back from `memory`. Must
+    /// be called right after the step that performed the access, so the
+    /// read cannot fault.
+    #[must_use]
+    pub fn read_back(memory: &Memory, access: MemAccess) -> MemEffect {
+        let addr = access.addr;
+        let value = match access.size {
+            1 => memory.read_u8(addr).map(u64::from),
+            2 => memory.read_u16(addr).map(u64::from),
+            4 => memory.read_u32(addr).map(u64::from),
+            _ => memory.read_u64(addr),
+        };
+        MemEffect {
+            addr,
+            size: access.size,
+            store: access.store,
+            value: value.unwrap_or(0),
+        }
+    }
+}
+
 /// The canonical record of one retired instruction: the architectural
 /// effects every simulator must agree on, independent of its timing model.
 ///
@@ -137,12 +159,9 @@ impl RetirementRecord {
     /// produced `retired` and before the next one.
     #[must_use]
     pub fn capture(cpu: &Cpu, retired: &Retired) -> RetirementRecord {
-        let mem = retired.mem_access.map(|access| MemEffect {
-            addr: access.addr,
-            size: access.size,
-            store: access.store,
-            value: read_sized(&cpu.memory, access.addr, access.size),
-        });
+        let mem = retired
+            .mem_access
+            .map(|access| MemEffect::read_back(&cpu.memory, access));
         RetirementRecord {
             seq: cpu.instret,
             pc: retired.pc,
@@ -192,18 +211,6 @@ pub fn trap_cause(error: &CpuError) -> Option<(u64, u64)> {
         CpuError::RoccTimeout { .. } => Some((cause::ROCC_TIMEOUT, 0)),
         CpuError::UnknownSyscall(_) | CpuError::InstructionLimit(_) => None,
     }
-}
-
-/// Reads `size` bytes at `addr` zero-extended to 64 bits; the access was
-/// just performed by the instruction being recorded, so faults cannot occur.
-fn read_sized(memory: &Memory, addr: u64, size: u64) -> u64 {
-    let value = match size {
-        1 => memory.read_u8(addr).map(u64::from),
-        2 => memory.read_u16(addr).map(u64::from),
-        4 => memory.read_u32(addr).map(u64::from),
-        _ => memory.read_u64(addr),
-    };
-    value.unwrap_or(0)
 }
 
 /// A `(marker id, cycle, instret)` triple recorded by the `mark` syscall.

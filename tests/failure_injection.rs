@@ -125,7 +125,7 @@ fn assembler_reports_precise_errors() {
 }
 
 /// Loads `source` into a fresh core with the given coprocessor attached,
-/// ready for a lockstep run.
+/// ready for a lockstep run (a side's builder calls it).
 fn machine_with(source: &str, coproc: Box<dyn Coprocessor>) -> Machine<()> {
     let program = assemble(source).expect("test program assembles");
     let mut sim = Machine::<()>::new(());
@@ -153,12 +153,11 @@ fn lockstep_catches_a_wrong_digit_accelerator_at_the_custom0_pc() {
             li a7, 93
             ecall
     ";
-    let mut good = machine_with(source, Box::new(DecimalAccelerator::new()));
-    let mut bad = machine_with(
-        source,
-        Box::new(WrongDigitAccelerator::new(DecimalFunct::DecAdd)),
+    let outcome = run_lockstep(
+        || machine_with(source, Box::new(DecimalAccelerator::new())),
+        || machine_with(source, Box::new(WrongDigitAccelerator::new(DecimalFunct::DecAdd))),
+        &LockstepOptions::default(),
     );
-    let outcome = run_lockstep(&mut good, &mut bad, &LockstepOptions::default());
     let divergence = outcome.divergence().expect("wrong digit must be caught");
     assert_eq!(divergence.pc, TEXT_BASE + 2 * 4, "{divergence}");
     assert!(
@@ -195,9 +194,11 @@ fn lockstep_catches_a_stuck_interface_fsm_at_the_first_wedged_command() {
             li a7, 93
             ecall
     ";
-    let mut good = machine_with(source, Box::new(DecimalAccelerator::new()));
-    let mut bad = machine_with(source, Box::new(StuckFsmAccelerator::new(1)));
-    let outcome = run_lockstep(&mut good, &mut bad, &LockstepOptions::default());
+    let outcome = run_lockstep(
+        || machine_with(source, Box::new(DecimalAccelerator::new())),
+        || machine_with(source, Box::new(StuckFsmAccelerator::new(1))),
+        &LockstepOptions::default(),
+    );
     let divergence = outcome.divergence().expect("stuck FSM must be caught");
     assert_eq!(divergence.pc, TEXT_BASE + 4 * 4, "{divergence}");
     assert!(
