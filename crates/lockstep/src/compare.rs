@@ -8,7 +8,7 @@ use riscv_isa::instr::Instr;
 use riscv_isa::{csr, Reg};
 use riscv_sim::{Cpu, CpuError, Event, Machine, MemEffect, Retired, RetirementRecord, TimingModel};
 
-/// Default number of pre-divergence retirements kept as context.
+/// Default number of pre-divergence retirements reported as context.
 pub const DEFAULT_CONTEXT: usize = 8;
 
 /// Anything that can be stepped in lockstep: a [`Machine`] with any timing
@@ -137,7 +137,8 @@ pub struct Divergence {
     /// Memory effects, when the two sides' differ: `(first, second)`.
     pub mem_delta: Option<(Option<riscv_sim::MemEffect>, Option<riscv_sim::MemEffect>)>,
     /// The last retirements before the divergence — identical on both sides
-    /// by construction, so one copy suffices.
+    /// by construction, so one copy suffices, rebuilt by re-running the
+    /// first simulator.
     pub context: Vec<RetirementRecord>,
 }
 
@@ -263,7 +264,8 @@ fn is_cycle_read(instr: &Instr) -> bool {
 /// Canonicalizes a record for comparison: the destination value of a
 /// `rdcycle`/`rdtime` read is each timing model's own cycle count, which
 /// legitimately differs across simulators, so it is masked to zero.
-/// `rdinstret` is identical everywhere and stays comparable.
+/// `rdinstret` is identical everywhere and stays comparable. The lockstep
+/// comparator applies the same masking in place, without building records.
 ///
 /// Masking covers the read itself; values *derived* from a cycle read by
 /// later arithmetic are not tracked and will be reported as divergences.
@@ -439,7 +441,8 @@ pub fn run_lockstep<A: LockstepSim, B: LockstepSim>(
                     _ => None,
                 };
                 let pc = divergence_pc(&oa, &ob, a.cpu().pc());
-                return report(step, pc, oa, ob, register_delta(a.cpu(), b.cpu()), mem_delta);
+                let reg_delta = register_delta(a.cpu(), b.cpu());
+                return report(step, pc, oa, ob, reg_delta, mem_delta);
             }
         }
     }

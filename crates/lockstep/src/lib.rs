@@ -14,7 +14,10 @@
 //! * [`run_lockstep`] steps two simulators through the same program and
 //!   compares the streams retirement by retirement, reporting the first
 //!   [`Divergence`] with the pc, the instruction, the register/memory
-//!   delta, and the last retirements of shared context;
+//!   delta, and the last retirements of shared context. Steps are compared
+//!   in place against the post-step state; records are built only for the
+//!   report, whose context is rebuilt by re-running the first side from a
+//!   fresh build;
 //! * the [`fuzz`] module generates seeded random-but-valid RV64IM programs
 //!   (with RoCC command sequences mixed in), lockstep-checks every
 //!   simulator pair, and shrinks failures to minimal programs by delta
@@ -287,16 +290,23 @@ mod tests {
         // Every kind of divergence report, byte for byte: register and
         // memory deltas, a fault on one side, a final-state mismatch, and
         // context that is empty, short, full, or spans a delivered trap.
-        let report = |a: &dyn Fn() -> Box<dyn LockstepSim>,
-                      b: &dyn Fn() -> Box<dyn LockstepSim>,
-                      context: usize| {
+        fn report<A: LockstepSim, B: LockstepSim>(
+            a: impl Fn() -> A,
+            b: impl Fn() -> B,
+            context: usize,
+        ) -> String {
             let options = LockstepOptions { context, ..LockstepOptions::default() };
             run_lockstep(a, b, &options).divergence().expect("must diverge").to_string()
-        };
-        let functional = |program: &Program| {
-            let program = program.clone();
-            move || -> Box<dyn LockstepSim> { Box::new(loaded(Machine::<()>::new(()), &program)) }
-        };
+        }
+        fn functional(program: &Program) -> impl Fn() -> Machine<()> + '_ {
+            move || loaded(Machine::<()>::new(()), program)
+        }
+        fn accelerated(
+            program: &Program,
+            coprocessor: fn() -> Box<dyn Coprocessor>,
+        ) -> impl Fn() -> Machine<()> + '_ {
+            move || with_accelerator(program, coprocessor())
+        }
         let long_line = assemble(&format!(
             "start:\n{}    li a0, 0\n    li a7, 93\n    ecall\n",
             "    addi t0, t0, 1\n".repeat(20)
@@ -305,21 +315,20 @@ mod tests {
         let straight_line = assemble(STRAIGHT_LINE).unwrap();
         let mut actual = Vec::new();
         for context in [DEFAULT_CONTEXT, 0] {
-            for (name, program, index) in [("straight 2", &straight_line, 2), ("long 15", &long_line, 15)] {
-                let mutated: &dyn Fn() -> Box<dyn LockstepSim> =
-                    &|| Box::new(loaded(mutant(TEXT_BASE + 4 * index), program));
+            for (name, program, index) in [
+                ("straight 2", &straight_line, 2),
+                ("long 15", &long_line, 15),
+            ] {
+                let mutated = || loaded(mutant(TEXT_BASE + 4 * index), program);
                 actual.push((
                     format!("{name} ctx {context}"),
-                    report(mutated, &functional(program), context),
+                    report(mutated, functional(program), context),
                 ));
             }
         }
-        let accelerated = |source: &str, coprocessor: fn() -> Box<dyn Coprocessor>| {
-            let program = assemble(source).unwrap();
-            move || -> Box<dyn LockstepSim> { Box::new(with_accelerator(&program, coprocessor())) }
-        };
         let good = || -> Box<dyn Coprocessor> { Box::new(rocc::DecimalAccelerator::new()) };
-        let wrong_digit = "
+        let wrong_digit = assemble(
+            "
             start:
                 li t0, 0x15
                 li t1, 0x27
@@ -327,18 +336,21 @@ mod tests {
                 li a0, 0
                 li a7, 93
                 ecall
-        ";
+            ",
+        )
+        .unwrap();
         actual.push((
             "wrong digit".to_string(),
             report(
-                &accelerated(wrong_digit, good),
-                &accelerated(wrong_digit, || {
+                accelerated(&wrong_digit, good),
+                accelerated(&wrong_digit, || {
                     Box::new(inject::WrongDigitAccelerator::new(rocc::DecimalFunct::DecAdd))
                 }),
                 DEFAULT_CONTEXT,
             ),
         ));
-        let stuck = "
+        let stuck = assemble(
+            "
             start:
                 li t0, 0x11
                 custom0 4, t2, t0, t0, 1, 1, 1
@@ -348,20 +360,22 @@ mod tests {
                 li a0, 0
                 li a7, 93
                 ecall
-        ";
+            ",
+        )
+        .unwrap();
         actual.push((
             "stuck".to_string(),
             report(
-                &accelerated(stuck, good),
-                &accelerated(stuck, || Box::new(inject::StuckFsmAccelerator::new(1))),
+                accelerated(&stuck, good),
+                accelerated(&stuck, || Box::new(inject::StuckFsmAccelerator::new(1))),
                 DEFAULT_CONTEXT,
             ),
         ));
         actual.push((
             "final".to_string(),
             report(
-                &functional(&straight_line),
-                &|| Box::new(loaded(loud_exit(), &straight_line)),
+                functional(&straight_line),
+                || loaded(loud_exit(), &straight_line),
                 DEFAULT_CONTEXT,
             ),
         ));
@@ -396,8 +410,8 @@ mod tests {
         actual.push((
             "trap".to_string(),
             report(
-                &|| Box::new(loaded(mutant(mutated_pc), &trap_then_mutate)),
-                &functional(&trap_then_mutate),
+                || loaded(mutant(mutated_pc), &trap_then_mutate),
+                functional(&trap_then_mutate),
                 DEFAULT_CONTEXT,
             ),
         ));
@@ -405,8 +419,8 @@ mod tests {
         actual.push((
             "store flip".to_string(),
             report(
-                &functional(&store_then_load),
-                &|| Box::new(loaded(store_flip(), &store_then_load)),
+                functional(&store_then_load),
+                || loaded(store_flip(), &store_then_load),
                 DEFAULT_CONTEXT,
             ),
         ));

@@ -155,7 +155,12 @@ fn lockstep_catches_a_wrong_digit_accelerator_at_the_custom0_pc() {
     ";
     let outcome = run_lockstep(
         || machine_with(source, Box::new(DecimalAccelerator::new())),
-        || machine_with(source, Box::new(WrongDigitAccelerator::new(DecimalFunct::DecAdd))),
+        || {
+            machine_with(
+                source,
+                Box::new(WrongDigitAccelerator::new(DecimalFunct::DecAdd)),
+            )
+        },
         &LockstepOptions::default(),
     );
     let divergence = outcome.divergence().expect("wrong digit must be caught");
